@@ -1,4 +1,4 @@
-//! Ablation benchmarks for the design choices called out in DESIGN.md:
+//! Ablation benchmarks for the sampler's main design choices:
 //! multi-scoring Pareto sampling vs. single-objective optimisation, the
 //! number of complexes, the CCD sweep budget, and adaptive temperature vs.
 //! a fixed temperature.

@@ -1,25 +1,36 @@
-//! Population-batched CCD closure: lockstep sweeps over a block of members.
+//! Population-batched CCD closure: lockstep sweeps over lanes in flight.
 //!
 //! The paper closes every conformation of the population concurrently — one
 //! device thread per conformation, all threads executing the same CCD sweep
 //! with divergence handled by masking.  [`CcdCloser::close_batch`]
-//! reproduces that execution shape on the host for one *block* of members:
-//! all lanes advance through the same `(sweep, torsion)` schedule in
-//! lockstep, members that have converged (or whose start index excludes a
-//! torsion) are masked out, and the per-torsion optimal-rotation inner
-//! products are gathered into flat SoA arrays and evaluated in one tight
-//! batched loop ([`optimal_rotation_batch`]) instead of being interleaved
-//! with structure traversal.
+//! reproduces that execution shape on the host for a queue of members: at
+//! most the closer's in-flight width of lanes advance through the same
+//! `(sweep, torsion)` schedule in lockstep, lanes whose start index
+//! excludes a torsion are masked out, and the per-torsion optimal-rotation
+//! inner products are gathered into flat SoA arrays and evaluated in one
+//! tight batched loop ([`optimal_rotation_batch`]) instead of being
+//! interleaved with structure traversal.
+//!
+//! **Lanes in flight + refill.**  Masking alone would keep a converged lane
+//! idle until the slowest lane of its block finished.  Instead, at every
+//! sweep boundary each in-flight lane whose own `while` condition
+//! (`deviation > tolerance && sweeps < max_sweeps`) fails is retired — its
+//! final full build done — and its slot is refilled with the next pending
+//! lane, the host form of the GPU "persistent threads" answer to warp
+//! divergence.  Unset ([`CcdCloser::with_lanes_in_flight`]), every lane
+//! handed in is in flight at once, which is the plain masked block.
 //!
 //! **Bit-identity.**  Each member's computation depends only on its own
 //! state, and the lockstep schedule performs, per member, exactly the same
 //! operations in exactly the same order as the sequential
 //! [`CcdCloser::close_with_scratch`]: build → (check; sweep over eligible
 //! torsions: axis, optimal rotation, conditional apply + suffix rebuild) →
-//! deviation.  The batched inner products call the identical scalar kernel
-//! per gathered lane, so every rotation angle — and therefore every closed
-//! loop — matches the per-member reference bit for bit (property-tested in
-//! this module and in `lms-core`'s batched-pipeline equivalence tests).
+//! deviation.  When a lane is admitted or which slot it occupies changes
+//! nothing about its arithmetic.  The batched inner products call the
+//! identical scalar kernel per gathered lane, so every rotation angle — and
+//! therefore every closed loop — matches the per-member reference bit for
+//! bit at every in-flight width (property-tested in this module and in
+//! `lms-core`'s batched-pipeline equivalence tests).
 
 use crate::ccd::{optimal_rotation, CcdCloser, CcdResult};
 use lms_geometry::Vec3;
@@ -41,17 +52,18 @@ pub struct CcdLane<'a> {
     pub start_index: usize,
 }
 
-/// Reusable SoA workspace of one closure block: per-lane sweep state plus
-/// the gather buffers of the batched optimal-rotation kernel.  All buffers
-/// warm up to the block width on first use; afterwards a `close_batch` call
-/// performs no heap allocation.
+/// Reusable SoA workspace of one closure queue: per-lane sweep state, the
+/// in-flight lane list, and the gather buffers of the batched
+/// optimal-rotation kernel.  All buffers warm up to the queue length on
+/// first use; afterwards a `close_batch` call performs no heap allocation.
 #[derive(Debug, Clone, Default)]
 pub struct CcdBatchScratch {
     deviation: Vec<f64>,
     initial: Vec<f64>,
     sweeps: Vec<usize>,
     rotations: Vec<usize>,
-    active: Vec<bool>,
+    // Lanes currently sweeping, in slot order.
+    flight: Vec<usize>,
     results: Vec<CcdResult>,
     // Gathered per-rotation inputs, member-major SoA.
     g_lane: Vec<usize>,
@@ -97,8 +109,10 @@ impl CcdBatchScratch {
         self.sweeps.resize(lanes, 0);
         self.rotations.clear();
         self.rotations.resize(lanes, 0);
-        self.active.clear();
-        self.active.resize(lanes, false);
+        self.flight.clear();
+        if self.flight.capacity() < lanes {
+            self.flight.reserve(lanes);
+        }
         self.results.clear();
         self.g_lane.clear();
         if self.g_lane.capacity() < lanes {
@@ -505,17 +519,22 @@ fn rebuild_spine_group(
 }
 
 impl CcdCloser {
-    /// Close every lane of one block in population lockstep.
+    /// Close every lane of one queue, at most
+    /// [`lanes_in_flight`](CcdCloser::lanes_in_flight) of them in lockstep
+    /// at a time (all of them when unset).
     ///
-    /// All lanes march through the same `(sweep, torsion)` schedule;
-    /// converged and out-of-range lanes are masked.  Per-lane statistics
-    /// land in `scratch.results()` (lane order) and each lane's structure
-    /// buffer holds the final built candidate, exactly as after a
-    /// per-member [`CcdCloser::close_with_scratch`] call.
+    /// In-flight lanes march through the same `(sweep, torsion)` schedule,
+    /// with out-of-range torsions masked.  At each sweep boundary a lane
+    /// whose own `deviation > tolerance && sweeps < max_sweeps` test fails
+    /// is retired with its final full build, and the next pending lane (in
+    /// lane order) takes its slot.  Per-lane statistics land in
+    /// `scratch.results()` (lane order) and each lane's structure buffer
+    /// holds the final built candidate, exactly as after a per-member
+    /// [`CcdCloser::close_with_scratch`] call.
     ///
     /// # Panics
     ///
-    /// Panics if the lanes disagree on torsion count (a block always comes
+    /// Panics if the lanes disagree on torsion count (a queue always comes
     /// from one population over one target).
     pub fn close_batch(
         &self,
@@ -528,7 +547,7 @@ impl CcdCloser {
         let config = *self.config();
         let targets = frame.c_anchor.atoms();
         // Hoist the lane-major spine kernel's constants (bond-angle
-        // products, ω and C-anchor-φ sin/cos) once per block.
+        // products, ω and C-anchor-φ sin/cos) once per call.
         #[cfg(feature = "simd")]
         let spine_kernel = self
             .wide_lanes()
@@ -542,45 +561,67 @@ impl CcdCloser {
             assert_eq!(
                 lane.torsions.n_angles(),
                 n_angles,
-                "all lanes of a closure block must share the loop length"
+                "all lanes of a closure queue must share the loop length"
             );
         }
-
-        // Initial build + deviation, exactly as the sequential path.
-        for (j, lane) in lanes.iter_mut().enumerate() {
-            builder.build_into(frame, sequence, lane.torsions, lane.structure);
-            let dev = builder.closure_deviation(frame, lane.structure);
-            scratch.initial[j] = dev;
-            scratch.deviation[j] = dev;
-        }
+        let width = self.lanes_in_flight().unwrap_or(lanes.len());
+        let sweeps_more = |deviation: f64, sweeps: usize| {
+            deviation > config.tolerance && sweeps < config.max_sweeps
+        };
+        let mut pending = 0..lanes.len();
 
         loop {
-            // Mask: a lane sweeps while its own `while` condition holds.
-            let mut any_active = false;
-            for j in 0..lanes.len() {
-                let go = scratch.deviation[j] > config.tolerance
-                    && scratch.sweeps[j] < config.max_sweeps;
-                scratch.active[j] = go;
-                if go {
-                    scratch.sweeps[j] += 1;
-                    any_active = true;
+            // Sweep boundary: retire every lane whose own `while` condition
+            // fails.  The sweeps rebuilt spines only; one full rebuild per
+            // rotated lane restores the O atoms and centroids, bit-identical
+            // to the sequential path's final state (a full build from the
+            // final torsions equals the incremental chain — property-tested
+            // in `lms-protein/tests/incremental_rebuild.rs`).  Unrotated
+            // lanes still hold their exact initial full build.
+            scratch.flight.retain(|&j| {
+                if sweeps_more(scratch.deviation[j], scratch.sweeps[j]) {
+                    return true;
+                }
+                if scratch.rotations[j] > 0 {
+                    let lane = &mut lanes[j];
+                    builder.build_into(frame, sequence, lane.torsions, lane.structure);
+                }
+                false
+            });
+
+            // Refill the freed slots from the pending queue: initial build
+            // + deviation, exactly as the sequential path.  A lane that is
+            // already closed at admission retires on the spot.
+            while scratch.flight.len() < width {
+                let Some(j) = pending.next() else { break };
+                let lane = &mut lanes[j];
+                builder.build_into(frame, sequence, lane.torsions, lane.structure);
+                let dev = builder.closure_deviation(frame, lane.structure);
+                scratch.initial[j] = dev;
+                scratch.deviation[j] = dev;
+                if sweeps_more(dev, 0) {
+                    scratch.flight.push(j);
                 }
             }
-            if !any_active {
+            if scratch.flight.is_empty() {
                 break;
+            }
+            for &j in &scratch.flight {
+                scratch.sweeps[j] += 1;
             }
 
             for k in 0..n_angles {
-                // Gather phase: every active lane whose start index admits
-                // torsion `k` contributes its pivot, axis and moving end
-                // frame to the SoA arrays.
+                // Gather phase: every in-flight lane whose start index
+                // admits torsion `k` contributes its pivot, axis and moving
+                // end frame to the SoA arrays.
                 scratch.g_lane.clear();
                 scratch.g_pivot.clear();
                 scratch.g_axis.clear();
                 scratch.g_moving.clear();
                 let (residue, kind) = Torsions::describe_angle(k);
-                for (j, lane) in lanes.iter().enumerate() {
-                    if !scratch.active[j] || k < lane.start_index.min(n_angles) {
+                for &j in &scratch.flight {
+                    let lane = &lanes[j];
+                    if k < lane.start_index.min(n_angles) {
                         continue;
                     }
                     let res_atoms = &lane.structure.residues[residue];
@@ -632,10 +673,10 @@ impl CcdCloser {
                 // suffix-rebuild its structure.  Only the backbone spine and
                 // the end frame feed the sweep (rotation pivots/axes and the
                 // deviation metric), so the rebuild skips the O/centroid
-                // placements; one full rebuild after the sweeps recovers
-                // them bit-identically.  Rotations land first so the
-                // rebuild worklist can be driven lane-major: all accepted
-                // lanes rebuild from the same changed angle `k`.
+                // placements; the full rebuild at retirement recovers them
+                // bit-identically.  Rotations land first so the rebuild
+                // worklist can be driven lane-major: all accepted lanes
+                // rebuild from the same changed angle `k`.
                 scratch.g_accept.clear();
                 for (g, &j) in scratch.g_lane.iter().enumerate() {
                     let delta = scratch.g_theta[g];
@@ -677,22 +718,8 @@ impl CcdCloser {
             }
 
             // Post-sweep deviation for the lanes that swept.
-            for (j, lane) in lanes.iter().enumerate() {
-                if scratch.active[j] {
-                    scratch.deviation[j] = builder.closure_deviation(frame, lane.structure);
-                }
-            }
-        }
-
-        // The sweeps rebuilt spines only; one full rebuild per rotated lane
-        // restores the O atoms and centroids, bit-identical to the
-        // sequential path's final state (a full build from the final
-        // torsions equals the incremental chain — property-tested in
-        // `lms-protein/tests/incremental_rebuild.rs`).  Untouched lanes
-        // still hold their exact initial full build.
-        for (j, lane) in lanes.iter_mut().enumerate() {
-            if scratch.rotations[j] > 0 {
-                builder.build_into(frame, sequence, lane.torsions, lane.structure);
+            for &j in &scratch.flight {
+                scratch.deviation[j] = builder.closure_deviation(frame, lanes[j].structure);
             }
         }
 
@@ -817,6 +844,97 @@ mod tests {
         let all = close_in_blocks(members.len());
         assert_eq!(one, three);
         assert_eq!(one, all);
+    }
+
+    #[test]
+    fn lane_refill_is_bit_identical_at_every_in_flight_width() {
+        // Queues of 0, 1, 13 and 40 lanes closed with 1, 3, 4 and 8 lanes
+        // in flight match per-member closure and the all-in-flight block:
+        // whichever slot a lane sweeps in, and whenever it is admitted,
+        // its arithmetic is its own.  The mix includes lanes that are
+        // already closed at admission (native torsions) and lanes whose
+        // start index excludes every torsion.
+        let (target, perturbed_members) = perturbed("1cex", 40, 29);
+        let n_res = target.n_residues();
+        let n_angles = target.native_torsions.n_angles();
+        let members: Vec<(Torsions, usize)> = perturbed_members
+            .into_iter()
+            .enumerate()
+            .map(|(m, t)| match m % 9 {
+                2 => (target.native_torsions.clone(), 0),
+                5 => (t, n_angles + m % 2),
+                _ => (t, m % 4),
+            })
+            .collect();
+        let config = CcdConfig::new().with_max_sweeps(24);
+        let close = |closer: CcdCloser, queue: &[(Torsions, usize)]| {
+            let mut torsions: Vec<Torsions> = queue.iter().map(|(t, _)| t.clone()).collect();
+            let mut structures: Vec<LoopStructure> = (0..queue.len())
+                .map(|_| LoopStructure::with_capacity(n_res))
+                .collect();
+            let mut lanes: Vec<CcdLane> = torsions
+                .iter_mut()
+                .zip(structures.iter_mut())
+                .zip(queue)
+                .map(|((t, s), &(_, start_index))| CcdLane {
+                    torsions: t,
+                    structure: s,
+                    start_index,
+                })
+                .collect();
+            let mut scratch = CcdBatchScratch::new();
+            closer.close_batch(&target.frame, &target.sequence, &mut lanes, &mut scratch);
+            drop(lanes);
+            (torsions, structures, scratch.results().to_vec())
+        };
+        let wide_modes: &[bool] = if cfg!(feature = "simd") {
+            &[false, true]
+        } else {
+            &[false]
+        };
+        for &len in &[0usize, 1, 13, 40] {
+            let queue = &members[..len];
+            let mut reference = (Vec::new(), Vec::new(), Vec::new());
+            for (t, start) in queue {
+                let mut t = t.clone();
+                let mut s = LoopStructure::with_capacity(n_res);
+                let closer = CcdCloser::with_config(config);
+                let r = closer.close_with_scratch(
+                    &target.frame,
+                    &target.sequence,
+                    &mut t,
+                    *start,
+                    &mut s,
+                );
+                reference.0.push(t);
+                reference.1.push(s);
+                reference.2.push(r);
+            }
+            if len == 40 {
+                assert!(reference.2.iter().any(|r| r.sweeps == 0 && r.converged));
+                assert!(reference
+                    .2
+                    .iter()
+                    .any(|r| r.sweeps > 0 && r.rotations_applied == 0));
+            }
+            for &wide in wide_modes {
+                let closer = CcdCloser::with_config(config).with_wide_lanes(wide);
+                assert_eq!(
+                    close(closer, queue),
+                    reference,
+                    "all in flight, {len} lanes"
+                );
+                for width in [1usize, 3, 4, 8] {
+                    let refill = closer.with_lanes_in_flight(width);
+                    assert_eq!(refill.lanes_in_flight(), Some(width));
+                    assert_eq!(
+                        close(refill, queue),
+                        reference,
+                        "{width} in flight, {len} lanes, wide {wide}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -113,6 +113,9 @@ pub struct CcdCloser {
     builder: LoopBuilder,
     config: CcdConfig,
     wide: bool,
+    /// Lanes [`CcdCloser::close_batch`] keeps sweeping at once (0 = every
+    /// lane handed in).
+    in_flight: usize,
 }
 
 impl CcdCloser {
@@ -122,6 +125,7 @@ impl CcdCloser {
             builder,
             config,
             wide: false,
+            in_flight: 0,
         }
     }
 
@@ -131,6 +135,7 @@ impl CcdCloser {
             builder: LoopBuilder::default(),
             config,
             wide: false,
+            in_flight: 0,
         }
     }
 
@@ -149,6 +154,24 @@ impl CcdCloser {
     /// Whether the batched rotation kernel uses wide lanes.
     pub fn wide_lanes(&self) -> bool {
         self.wide
+    }
+
+    /// Keep at most `width` lanes sweeping at once in
+    /// [`CcdCloser::close_batch`]; a lane that finishes hands its slot to
+    /// the next pending lane at the following sweep boundary.  Every lane's
+    /// arithmetic is independent of the others, so results are
+    /// bit-identical for every width.  `0` (the default) puts every lane
+    /// handed in in flight at once.
+    #[must_use]
+    pub fn with_lanes_in_flight(mut self, width: usize) -> Self {
+        self.in_flight = width;
+        self
+    }
+
+    /// The in-flight lane width of [`CcdCloser::close_batch`] (`None` when
+    /// every lane handed in sweeps at once).
+    pub fn lanes_in_flight(&self) -> Option<usize> {
+        (self.in_flight > 0).then_some(self.in_flight)
     }
 
     /// The configuration in use.

@@ -16,11 +16,11 @@
 //!   flat lane is loaded into, the mutation-index scratch),
 //!
 //! plus the reusable host-side iteration buffers (sort order, complex
-//! partition in CSR form, trace accumulators) and one
-//! [`CcdBatchScratch`] per closure block.  Everything is allocated once at
-//! trajectory start and reused for every iteration: after the first
-//! iteration warms the buffers up, a whole staged iteration performs no
-//! heap allocation (proved by `tests/zero_alloc.rs`).
+//! partition in CSR form, trace accumulators, the close stage's member
+//! queue) and one [`CcdBatchScratch`] per closure segment.  Everything is
+//! allocated once at trajectory start and reused for every iteration:
+//! after the first iteration warms the buffers up, a whole staged
+//! iteration performs no heap allocation (proved by `tests/zero_alloc.rs`).
 
 use lms_closure::CcdBatchScratch;
 use lms_geometry::StreamRngFactory;
@@ -28,17 +28,29 @@ use lms_protein::{LoopStructure, Torsions};
 use lms_scoring::{ScoreScratch, ScoreVector, ScratchPool};
 use rand_chacha::ChaCha8Rng;
 
-/// The historical fixed CCD lockstep block width.  The block width is now a
-/// backend-reported parameter of the executor
-/// ([`lms_simt::Executor::ccd_block_width`]) and flows into the population
-/// arena at trajectory start; this constant survives only
-/// as the default ([`lms_simt::DEFAULT_CCD_BLOCK_WIDTH`]).
-#[deprecated(
-    since = "0.1.0",
-    note = "the CCD block width is runtime-configured via ExecutorConfig::ccd_block_width; \
-            use lms_simt::DEFAULT_CCD_BLOCK_WIDTH for the default"
-)]
-pub const CCD_BLOCK_WIDTH: usize = lms_simt::DEFAULT_CCD_BLOCK_WIDTH;
+/// Blocks of in-flight CCD lanes per closure segment.  One `close` launch
+/// lane closes a segment of `CCD_SEGMENT_BLOCKS × ccd_block_width` queued
+/// members with `ccd_block_width` of them in flight, refilling converged
+/// lanes from the rest of the segment.  A fixed constant, so the segment
+/// count — and with it every `(Ccd, launch, lane)` fault site — depends
+/// only on population size and block width.
+pub(crate) const CCD_SEGMENT_BLOCKS: usize = 8;
+
+/// The longest closure segment any valid executor configuration yields
+/// (the close stage stages one segment's lane descriptors on the stack).
+pub(crate) const MAX_CCD_SEGMENT_LEN: usize = CCD_SEGMENT_BLOCKS * lms_simt::MAX_CCD_BLOCK_WIDTH;
+
+/// The queue positions closure segment `segment` covers when segments are
+/// `segment_len` long and `queued` members are queued (empty past the end
+/// of a sparse queue).
+pub(crate) fn segment_range(
+    segment: usize,
+    segment_len: usize,
+    queued: usize,
+) -> std::ops::Range<usize> {
+    let lo = (segment * segment_len).min(queued);
+    lo..(lo + segment_len).min(queued)
+}
 
 /// One member's heavyweight reusable workspaces: the buffers the
 /// per-conformation kernels mutate through references, exactly as the
@@ -65,7 +77,7 @@ pub(crate) struct MemberSlot {
 pub struct PopulationArena {
     pub(crate) n_members: usize,
     pub(crate) stride: usize,
-    pub(crate) n_blocks: usize,
+    pub(crate) n_segments: usize,
     pub(crate) ccd_block_width: usize,
     // --- flat SoA population state ("device global memory") -------------
     pub(crate) torsions: Vec<f64>,
@@ -92,16 +104,20 @@ pub struct PopulationArena {
     pub(crate) ccd_rotations: Vec<f64>,
     // --- per-stage measurement buffers ----------------------------------
     pub(crate) stage_us: Vec<f64>,
-    pub(crate) block_ccd_us: Vec<f64>,
+    pub(crate) segment_ccd_us: Vec<f64>,
     // --- reusable host-side iteration buffers ---------------------------
     pub(crate) order: Vec<usize>,
     pub(crate) complex_of: Vec<usize>,
     pub(crate) complex_scores: Vec<ScoreVector>,
     pub(crate) complex_offsets: Vec<usize>,
     pub(crate) trace_sums: Vec<(f64, usize)>,
-    // --- heavyweight member and block workspaces ------------------------
+    /// The members one close launch closes, in member order; segment `s`
+    /// takes positions `s × segment_len()..`.  All members normally, only
+    /// the still-open ones in an init retry round.
+    pub(crate) ccd_queue: Vec<usize>,
+    // --- heavyweight member and segment workspaces ----------------------
     pub(crate) slots: Vec<MemberSlot>,
-    pub(crate) ccd_blocks: Vec<CcdBatchScratch>,
+    pub(crate) ccd_segments: Vec<CcdBatchScratch>,
 }
 
 impl PopulationArena {
@@ -109,9 +125,9 @@ impl PopulationArena {
     /// loop of `n_residues`, partitioned into `n_complexes` for the
     /// Metropolis reference sets.  Scoring scratches are leased from `pool`
     /// when one is provided (the engine's warm workspaces), otherwise
-    /// freshly pre-sized.  `ccd_block_width` — how many members one CCD
-    /// lockstep block closes together — is the executor backend's reported
-    /// parameter ([`lms_simt::Executor::ccd_block_width`]), not a constant.
+    /// freshly pre-sized.  `ccd_block_width` — how many CCD lanes are in
+    /// flight together — is the executor backend's reported parameter
+    /// ([`lms_simt::Executor::ccd_block_width`]), not a constant.
     pub(crate) fn new(
         n_members: usize,
         n_residues: usize,
@@ -122,7 +138,7 @@ impl PopulationArena {
     ) -> Self {
         assert!(ccd_block_width > 0, "CCD block width must be non-zero");
         let stride = 2 * n_residues;
-        let n_blocks = n_members.div_ceil(ccd_block_width);
+        let n_segments = n_members.div_ceil(CCD_SEGMENT_BLOCKS * ccd_block_width);
         let slots = (0..n_members)
             .map(|_| MemberSlot {
                 structure: LoopStructure::with_capacity(n_residues),
@@ -150,7 +166,7 @@ impl PopulationArena {
         PopulationArena {
             n_members,
             stride,
-            n_blocks,
+            n_segments,
             ccd_block_width,
             torsions: vec![0.0; n_members * stride],
             cand_torsions: vec![0.0; n_members * stride],
@@ -172,14 +188,15 @@ impl PopulationArena {
             rngs: vec![placeholder; n_members],
             ccd_rotations: vec![0.0; n_members],
             stage_us: vec![0.0; n_members],
-            block_ccd_us: vec![0.0; n_blocks],
+            segment_ccd_us: vec![0.0; n_segments],
             order: Vec::with_capacity(n_members),
             complex_of: vec![0; n_members],
             complex_scores: vec![ScoreVector::default(); n_members],
             complex_offsets,
             trace_sums: vec![(0.0, 0); m],
+            ccd_queue: Vec::with_capacity(n_members),
             slots,
-            ccd_blocks: vec![CcdBatchScratch::new(); n_blocks],
+            ccd_segments: vec![CcdBatchScratch::new(); n_segments],
         }
     }
 
@@ -193,23 +210,21 @@ impl PopulationArena {
         self.stride
     }
 
-    /// Number of CCD lockstep blocks ([`PopulationArena::ccd_block_width`]
-    /// members each, the final block possibly smaller).
-    pub fn n_blocks(&self) -> usize {
-        self.n_blocks
+    /// Number of CCD closure segments ([`PopulationArena::segment_len`]
+    /// queued members each, the final segment possibly smaller).
+    pub fn n_segments(&self) -> usize {
+        self.n_segments
     }
 
-    /// Members per CCD lockstep block, as reported by the executor backend
-    /// this arena was allocated for.
+    /// CCD lanes in flight per segment, as reported by the executor
+    /// backend this arena was allocated for.
     pub fn ccd_block_width(&self) -> usize {
         self.ccd_block_width
     }
 
-    /// The member range of one closure block.
-    #[cfg(test)]
-    fn block_range(&self, block: usize) -> std::ops::Range<usize> {
-        let lo = block * self.ccd_block_width;
-        lo..((lo + self.ccd_block_width).min(self.n_members))
+    /// Queued members per closure segment (`8 × ccd_block_width`).
+    pub fn segment_len(&self) -> usize {
+        CCD_SEGMENT_BLOCKS * self.ccd_block_width
     }
 
     /// Hand every member's scoring scratch back to `pool` (used on every
@@ -250,14 +265,22 @@ mod tests {
 
     #[test]
     fn arena_layout_and_block_partition() {
-        let arena = PopulationArena::new(20, 12, 3, 3, None, 8);
-        assert_eq!(arena.n_members(), 20);
+        let arena = PopulationArena::new(200, 12, 3, 3, None, 8);
+        assert_eq!(arena.n_members(), 200);
         assert_eq!(arena.stride(), 24);
-        assert_eq!(arena.torsions.len(), 20 * 24);
-        assert_eq!(arena.n_blocks(), 3);
+        assert_eq!(arena.torsions.len(), 200 * 24);
+        // Segments of 8 blocks of 8 lanes: 64 + 64 + 64 + 8 members.
         assert_eq!(arena.ccd_block_width(), 8);
-        assert_eq!(arena.block_range(0), 0..8);
-        assert_eq!(arena.block_range(2), 16..20);
+        assert_eq!(arena.segment_len(), 64);
+        assert_eq!(arena.n_segments(), 4);
+        assert_eq!(segment_range(0, arena.segment_len(), 200), 0..64);
+        assert_eq!(segment_range(3, arena.segment_len(), 200), 192..200);
+        // A sparse retry queue packs into the leading segments.
+        assert_eq!(segment_range(0, arena.segment_len(), 70), 0..64);
+        assert_eq!(segment_range(1, arena.segment_len(), 70), 64..70);
+        assert_eq!(segment_range(2, arena.segment_len(), 70), 70..70);
+        assert_eq!(arena.ccd_queue.capacity(), 200);
+        let arena = PopulationArena::new(20, 12, 3, 3, None, 8);
         // CSR complex partition: stride partition of 20 over 3 complexes is
         // 7 + 7 + 6 sorted positions.
         assert_eq!(arena.complex_offsets, vec![0, 7, 14, 20]);
@@ -265,13 +288,18 @@ mod tests {
 
     #[test]
     fn arena_block_partition_follows_runtime_width() {
-        let arena = PopulationArena::new(20, 12, 3, 3, None, 6);
+        let arena = PopulationArena::new(100, 12, 3, 3, None, 6);
         assert_eq!(arena.ccd_block_width(), 6);
-        assert_eq!(arena.n_blocks(), 4);
-        assert_eq!(arena.block_range(0), 0..6);
-        assert_eq!(arena.block_range(3), 18..20);
-        assert_eq!(arena.block_ccd_us.len(), 4);
-        assert_eq!(arena.ccd_blocks.len(), 4);
+        assert_eq!(arena.segment_len(), 48);
+        assert_eq!(arena.n_segments(), 3);
+        assert_eq!(segment_range(0, arena.segment_len(), 100), 0..48);
+        assert_eq!(segment_range(2, arena.segment_len(), 100), 96..100);
+        assert_eq!(arena.segment_ccd_us.len(), 3);
+        assert_eq!(arena.ccd_segments.len(), 3);
+        // A population smaller than one segment is one segment.
+        let arena = PopulationArena::new(20, 12, 3, 3, None, 6);
+        assert_eq!(arena.n_segments(), 1);
+        assert_eq!(segment_range(0, arena.segment_len(), 20), 0..20);
     }
 
     #[test]

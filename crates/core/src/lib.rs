@@ -63,8 +63,6 @@ pub mod sampler;
 
 pub use annealing::{TemperatureController, TemperatureSchedule};
 pub use arena::PopulationArena;
-#[allow(deprecated)]
-pub use arena::CCD_BLOCK_WIDTH;
 pub use config::{
     InitMode, JobLimits, NumericGuard, ObjectiveMode, SamplerConfig, SamplerConfigBuilder,
 };

@@ -18,7 +18,7 @@
 //! analytic device/host [`TimingModel`] so the experiment harness can report
 //! the paper's modeled GPU-vs-CPU timings alongside the measured host times.
 
-use crate::arena::{MemberSlot, PopulationArena};
+use crate::arena::{segment_range, MemberSlot, PopulationArena, MAX_CCD_SEGMENT_LEN};
 use crate::config::{InitMode, NumericGuard, ObjectiveMode, SamplerConfig};
 use crate::conformation::Conformation;
 use crate::decoyset::DecoySet;
@@ -31,7 +31,6 @@ use lms_protein::{LoopBuilder, LoopStructure, LoopTarget, RamaClass, RamaLibrary
 use lms_scoring::{KnowledgeBase, MultiScorer, ScoreScratch, ScoreVector, ScratchPool};
 use lms_simt::{
     Executor, KernelKind, LaunchConfig, Profiler, SharedLanes, TimingModel, TransferKind,
-    MAX_CCD_BLOCK_WIDTH,
 };
 use rand::Rng;
 use std::fmt;
@@ -875,7 +874,8 @@ impl MoscemSampler {
     /// state lives in the flat SoA [`PopulationArena`] and every iteration
     /// issues one population-wide kernel launch per stage — `mutate`
     /// ([`KernelKind::Reproduction`]), `close` ([`KernelKind::Ccd`],
-    /// lockstep blocks with batched optimal-rotation inner products),
+    /// segments of lockstep lanes in flight, refilled as lanes converge,
+    /// with batched optimal-rotation inner products),
     /// `rebuild` ([`KernelKind::Rebuild`], observable readback), `score`
     /// (one launch per objective kernel), `metropolis` and `select` — via
     /// [`Executor::launch`], exactly the paper's device execution shape.
@@ -914,9 +914,12 @@ impl MoscemSampler {
         let work = WorkModel::for_target(&self.target);
         // A backend reporting wide lanes gets the explicit wide-f64 CCD and
         // VDW kernels — bit-identical to the scalar loops, so this flips
-        // only the instruction mix, never the trajectory.
+        // only the instruction mix, never the trajectory.  The backend's
+        // block width is the number of CCD lanes kept in flight.
         let wide = capabilities.lane_width > 1;
-        let closer = CcdCloser::new(self.builder, cfg.ccd).with_wide_lanes(wide);
+        let closer = CcdCloser::new(self.builder, cfg.ccd)
+            .with_wide_lanes(wide)
+            .with_lanes_in_flight(executor.ccd_block_width());
         let scorer = self.scorer.clone().with_wide_lanes(wide);
         let spec = &self.timing.device;
 
@@ -975,7 +978,7 @@ impl MoscemSampler {
         let init_mode = cfg.init_mode;
         let max_closure = cfg.max_closure_deviation;
 
-        arena.block_ccd_us.iter_mut().for_each(|t| *t = 0.0);
+        arena.segment_ccd_us.iter_mut().for_each(|t| *t = 0.0);
         for round in 0..4usize {
             // The loop-closure condition gates everything downstream; a
             // member redraws (deterministically from its own stream) while
@@ -1022,7 +1025,7 @@ impl MoscemSampler {
                 true,
             );
         }
-        let init_ccd_us: f64 = arena.block_ccd_us.iter().sum();
+        let init_ccd_us: f64 = arena.segment_ccd_us.iter().sum();
         component.ccd_us += init_ccd_us;
         let mean_rotations = arena.ccd_rotations.iter().sum::<f64>() / n.max(1) as f64;
         self.record_kernel_launch(
@@ -1168,10 +1171,10 @@ impl MoscemSampler {
                 );
             }
 
-            // Stage 2 — close: lockstep CCD blocks with batched
-            // optimal-rotation inner products.
+            // Stage 2 — close: CCD segments, each keeping one block of
+            // lanes in flight with batched optimal-rotation inner products.
             self.stage_close(executor, &mut arena, &closer, None, None, false);
-            let close_us: f64 = arena.block_ccd_us.iter().sum();
+            let close_us: f64 = arena.segment_ccd_us.iter().sum();
             component.ccd_us += close_us;
             let mean_rotations = arena.ccd_rotations.iter().sum::<f64>() / n.max(1) as f64;
             self.record_kernel_launch(
@@ -1405,18 +1408,20 @@ impl MoscemSampler {
         })
     }
 
-    /// The staged `close` kernel: one launch over the arena's lockstep
-    /// blocks, each block closing up to
-    /// [`ccd_block_width`](PopulationArena::ccd_block_width) members
-    /// together (the executor backend's reported width) with batched
-    /// optimal-rotation inner products.
+    /// The staged `close` kernel: one launch over the arena's closure
+    /// segments.  Each segment hands up to
+    /// [`segment_len`](PopulationArena::segment_len) queued members to one
+    /// `close_batch` call, which keeps the executor backend's reported
+    /// [`ccd_block_width`](PopulationArena::ccd_block_width) of them in
+    /// flight and refills converged lanes from the rest of the segment.
     ///
-    /// `mask_above` restricts the launch to members whose candidate closure
-    /// deviation still exceeds the bound (the init retry rounds);
-    /// `start_override` forces one CCD start index for every lane (init)
-    /// instead of the per-member mutated index; `accumulate` adds rotations
-    /// and block times onto the arena's counters instead of overwriting
-    /// them (init rounds share one recorded kernel).
+    /// `mask_above` restricts the queue to members whose candidate closure
+    /// deviation still exceeds the bound (the init retry rounds), packed
+    /// into the leading segments; `start_override` forces one CCD start
+    /// index for every lane (init) instead of the per-member mutated index;
+    /// `accumulate` adds rotations and segment times onto the arena's
+    /// counters instead of overwriting them (init rounds share one recorded
+    /// kernel).
     fn stage_close(
         &self,
         executor: &Executor,
@@ -1427,63 +1432,59 @@ impl MoscemSampler {
         accumulate: bool,
     ) {
         let n = arena.n_members();
-        let n_blocks = arena.n_blocks();
-        let width = arena.ccd_block_width();
-        debug_assert!(width <= MAX_CCD_BLOCK_WIDTH);
+        let n_segments = arena.n_segments();
+        let segment_len = arena.segment_len();
+        // The stack staging below relies on this bound for soundness.
+        assert!(segment_len <= MAX_CCD_SEGMENT_LEN);
         if !accumulate {
-            arena.block_ccd_us.iter_mut().for_each(|t| *t = 0.0);
+            arena.segment_ccd_us.iter_mut().for_each(|t| *t = 0.0);
         }
+        arena.ccd_queue.clear();
+        let devs = &arena.cand_closure_dev;
+        arena
+            .ccd_queue
+            .extend((0..n).filter(|&i| mask_above.is_none_or(|bound| devs[i] > bound)));
         let slots = SharedLanes::new(&mut arena.slots);
-        let blocks = SharedLanes::new(&mut arena.ccd_blocks);
-        let block_us = SharedLanes::new(&mut arena.block_ccd_us);
+        let segments = SharedLanes::new(&mut arena.ccd_segments);
+        let segment_us = SharedLanes::new(&mut arena.segment_ccd_us);
         let devs = SharedLanes::new(&mut arena.cand_closure_dev);
         let rotations = SharedLanes::new(&mut arena.ccd_rotations);
         let converged = SharedLanes::new(&mut arena.cand_converged);
         let starts = &arena.ccd_start;
-        let _ = executor.launch(KernelKind::Ccd, n_blocks, |b| {
+        let queue = &arena.ccd_queue;
+        let _ = executor.launch(KernelKind::Ccd, n_segments, |s| {
+            let members = &queue[segment_range(s, segment_len, queue.len())];
+            if members.is_empty() {
+                return;
+            }
             let t = Instant::now();
-            let lo = b * width;
-            let hi = (lo + width).min(n);
-            // SAFETY: kernel b touches only block b's scratch and the
-            // slots/lanes of members [lo, hi).
-            let scratch = unsafe { blocks.item_mut(b) };
-            // Stack staging is sized for the widest configurable block
-            // (ExecutorConfig validation caps `width` at
-            // MAX_CCD_BLOCK_WIDTH); only the first `hi - lo` entries are
-            // ever touched.
-            let mut store: [MaybeUninit<CcdLane>; MAX_CCD_BLOCK_WIDTH] =
-                [const { MaybeUninit::uninit() }; MAX_CCD_BLOCK_WIDTH];
-            let mut ids = [0usize; MAX_CCD_BLOCK_WIDTH];
-            let mut count = 0usize;
-            // Raw indexing is the deliberate kernel idiom here: `i` is the
-            // device thread id addressing several parallel SoA buffers.
-            #[allow(clippy::needless_range_loop)]
-            for i in lo..hi {
-                if let Some(bound) = mask_above {
-                    if *unsafe { devs.item_mut(i) } <= bound {
-                        continue;
-                    }
-                }
-                let slot = unsafe { slots.item_mut(i) };
+            // SAFETY: kernel s touches only segment s's scratch and the
+            // slots/lanes of the members at its queue positions; the queue
+            // holds each member at most once.
+            let scratch = unsafe { segments.item_mut(s) };
+            // Stack staging is sized for the longest configurable segment
+            // (ExecutorConfig validation caps the block width at
+            // MAX_CCD_BLOCK_WIDTH); only the first `members.len()` entries
+            // are ever touched.
+            let mut store: [MaybeUninit<CcdLane>; MAX_CCD_SEGMENT_LEN] =
+                [const { MaybeUninit::uninit() }; MAX_CCD_SEGMENT_LEN];
+            for (entry, &i) in store.iter_mut().zip(members) {
                 let MemberSlot {
                     cand, structure, ..
-                } = slot;
-                store[count] = MaybeUninit::new(CcdLane {
+                } = unsafe { slots.item_mut(i) };
+                *entry = MaybeUninit::new(CcdLane {
                     torsions: cand,
                     structure,
                     start_index: start_override.unwrap_or(starts[i]),
                 });
-                ids[count] = i;
-                count += 1;
             }
-            // SAFETY: the first `count` entries are initialised, and
+            // SAFETY: the first `members.len()` entries are initialised, and
             // `CcdLane` holds only references (no Drop obligations).
             let lanes = unsafe {
-                std::slice::from_raw_parts_mut(store.as_mut_ptr().cast::<CcdLane>(), count)
+                std::slice::from_raw_parts_mut(store.as_mut_ptr().cast::<CcdLane>(), members.len())
             };
             closer.close_batch(&self.target.frame, &self.target.sequence, lanes, scratch);
-            for (j, &i) in ids[..count].iter().enumerate() {
-                let res = scratch.results()[j];
+            for (res, &i) in scratch.results().iter().zip(members) {
                 *unsafe { devs.item_mut(i) } = res.final_deviation;
                 *unsafe { converged.item_mut(i) } = res.converged;
                 let r = unsafe { rotations.item_mut(i) };
@@ -1495,9 +1496,9 @@ impl MoscemSampler {
             }
             #[cfg(feature = "fault-injection")]
             if lms_simt::fault::take_nan() {
-                *unsafe { devs.item_mut(lo) } = f64::NAN;
+                *unsafe { devs.item_mut(members[0]) } = f64::NAN;
             }
-            *unsafe { block_us.item_mut(b) } += t.elapsed().as_secs_f64() * 1e6;
+            *unsafe { segment_us.item_mut(s) } += t.elapsed().as_secs_f64() * 1e6;
         });
     }
 

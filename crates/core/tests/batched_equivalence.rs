@@ -3,8 +3,9 @@
 //! to the per-member reference implementation
 //! (`MoscemSampler::run_reference_with_seed`) — across every executor
 //! backend (scalar / parallel / SIMD when compiled in), several CCD block
-//! widths, both objective modes (3- and 4-objective), the single-objective
-//! and weighted-sum baselines, multiple seeds and targets.
+//! widths (lanes in flight), multi-segment populations, both objective
+//! modes (3- and 4-objective), the single-objective and weighted-sum
+//! baselines, multiple seeds and targets.
 //!
 //! This is the contract that makes the SoA arena refactor and the pluggable
 //! backend API safe: the staged launches (`mutate`, `close`, `rebuild`,
@@ -184,6 +185,43 @@ fn batched_pipeline_matches_reference_across_executors_and_seeds() {
                     &format!("{name} seed {seed} on {}", describe(executor)),
                 );
             }
+        }
+    }
+}
+
+#[test]
+fn multi_segment_populations_match_reference() {
+    // 200 members span several closure segments (8 blocks of in-flight
+    // lanes each): 64 + 64 + 64 + 8 at width 8 and 5 × 40 at width 5, so
+    // lanes are refilled across many sweep boundaries, the last segment is
+    // ragged at width 8, and dynamic claims hand segments to workers in
+    // varying order.
+    let cfg = base_config()
+        .to_builder()
+        .population_size(200)
+        .n_complexes(4)
+        .iterations(1)
+        .snapshot_iterations(vec![1])
+        .build()
+        .expect("valid multi-segment config");
+    let s = sampler("1cex", cfg);
+    let reference = s.run_reference_with_seed(&ExecutorConfig::scalar().build().unwrap(), 31);
+    for width in [8usize, 5] {
+        #[cfg_attr(not(feature = "simd"), allow(unused_mut))]
+        let mut configs = vec![
+            ExecutorConfig::scalar(),
+            ExecutorConfig::parallel().threads(2),
+        ];
+        #[cfg(feature = "simd")]
+        configs.push(ExecutorConfig::simd().threads(2));
+        for config in configs {
+            let executor = config.ccd_block_width(width).build().unwrap();
+            let batched = s.run_with_seed(&executor, 31);
+            assert_bit_identical(
+                &batched,
+                &reference,
+                &format!("200 members on {}", describe(&executor)),
+            );
         }
     }
 }

@@ -201,9 +201,9 @@ fn nan_in_mutate_close_and_rebuild_stages_is_policed_by_the_health_sweep() {
         clean
     );
 
-    // A NaN closure-deviation readback (CCD lane = block, block 0 holds
-    // member 0) is caught even though `NaN > bound` is false and it would
-    // sail through the Metropolis closure gate.
+    // A NaN closure-deviation readback (CCD lane = closure segment,
+    // segment 0 starts at member 0) is caught even though `NaN > bound` is
+    // false and it would sail through the Metropolis closure gate.
     let close = Job::builder(target())
         .config(tiny(5))
         .seed(7)

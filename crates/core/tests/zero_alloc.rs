@@ -17,16 +17,34 @@ use lms_protein::{BenchmarkLibrary, LoopBuilder, LoopStructure, RamaClass, Torsi
 use lms_scoring::{KnowledgeBase, KnowledgeBaseConfig, MultiScorer, ScoreScratch, VdwScore};
 use lms_simt::ExecutorConfig;
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// A system allocator that counts allocation calls.
+/// A system allocator that counts the allocation calls a thread makes while
+/// that thread is armed.  Counter and arming flag are thread-local, so the
+/// tests of this file can run concurrently under the default parallel test
+/// harness without counting each other's allocations (or the harness's).
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    static ARMED: Cell<bool> = const { Cell::new(false) };
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
+
+/// Count one allocation call if the calling thread is armed.  Const-
+/// initialised `Cell` locals need no lazy setup or destructor, so this
+/// never allocates itself; `try_with` keeps it safe during thread teardown.
+fn record_allocation() {
+    let _ = ARMED.try_with(|armed| {
+        if armed.get() {
+            let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        }
+    });
+}
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        record_allocation();
         unsafe { System.alloc(layout) }
     }
 
@@ -35,7 +53,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        record_allocation();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -43,8 +61,19 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
+/// Allocations the calling thread has made while armed.
 fn allocation_count() -> usize {
-    ALLOCATIONS.load(Ordering::Relaxed)
+    ALLOCATIONS.with(Cell::get)
+}
+
+/// Run `f` — the measured window — with the calling thread armed, and
+/// return its result with the number of allocations it made.
+fn measure<R>(f: impl FnOnce() -> R) -> (R, usize) {
+    let before = allocation_count();
+    ARMED.with(|armed| armed.set(true));
+    let result = f();
+    ARMED.with(|armed| armed.set(false));
+    (result, allocation_count() - before)
 }
 
 #[test]
@@ -106,23 +135,21 @@ fn member_iteration_is_allocation_free_after_warmup() {
     }
 
     // Steady state: not a single allocation across many member-iterations.
-    let before = allocation_count();
-    for iter in 3..40 {
-        member_iteration(
-            iter,
-            &mut current,
-            &mut cand,
-            &mut indices,
-            &mut structure,
-            &mut scratch,
-        );
-    }
-    let after = allocation_count();
+    let ((), allocations) = measure(|| {
+        for iter in 3..40 {
+            member_iteration(
+                iter,
+                &mut current,
+                &mut cand,
+                &mut indices,
+                &mut structure,
+                &mut scratch,
+            );
+        }
+    });
     assert_eq!(
-        after - before,
-        0,
-        "evolution-kernel member-iterations allocated {} times after warm-up",
-        after - before
+        allocations, 0,
+        "evolution-kernel member-iterations allocated {allocations} times after warm-up"
     );
 }
 
@@ -157,21 +184,19 @@ fn incremental_rebuild_and_cell_list_paths_are_allocation_free() {
     };
     pass(&mut structure, &mut torsions, &mut scratch, 0.05);
 
-    let before = allocation_count();
-    for i in 0..8 {
-        pass(
-            &mut structure,
-            &mut torsions,
-            &mut scratch,
-            -0.05 + 0.01 * i as f64,
-        );
-    }
-    let after = allocation_count();
+    let ((), allocations) = measure(|| {
+        for i in 0..8 {
+            pass(
+                &mut structure,
+                &mut torsions,
+                &mut scratch,
+                -0.05 + 0.01 * i as f64,
+            );
+        }
+    });
     assert_eq!(
-        after - before,
-        0,
-        "incremental rebuild / cell-list scoring allocated {} times after warm-up",
-        after - before
+        allocations, 0,
+        "incremental rebuild / cell-list scoring allocated {allocations} times after warm-up"
     );
     // The suffix rebuilds tracked the full rebuild exactly the whole way.
     assert_eq!(structure, target.build(&builder, &torsions));
@@ -202,17 +227,15 @@ fn scratch_reused_across_targets_stays_allocation_free_after_rewarm() {
     vdw.environment_term(&small, &s_small, &mut scratch);
     vdw.environment_term(&dense, &s_dense, &mut scratch);
 
-    let before = allocation_count();
-    for _ in 0..16 {
-        let term = vdw.environment_term(&dense, &s_dense, &mut scratch);
-        assert!(term.is_finite());
-    }
-    let after = allocation_count();
+    let ((), allocations) = measure(|| {
+        for _ in 0..16 {
+            let term = vdw.environment_term(&dense, &s_dense, &mut scratch);
+            assert!(term.is_finite());
+        }
+    });
     assert_eq!(
-        after - before,
-        0,
-        "cross-target scratch reuse allocated {} times after re-warm-up",
-        after - before
+        allocations, 0,
+        "cross-target scratch reuse allocated {allocations} times after re-warm-up"
     );
 }
 
@@ -245,21 +268,19 @@ fn burial_enabled_scoring_is_allocation_free_after_warmup() {
     };
     pass(&mut structure, &mut torsions, &mut scratch, 0.05);
 
-    let before = allocation_count();
-    for i in 0..8 {
-        pass(
-            &mut structure,
-            &mut torsions,
-            &mut scratch,
-            -0.05 + 0.01 * i as f64,
-        );
-    }
-    let after = allocation_count();
+    let ((), allocations) = measure(|| {
+        for i in 0..8 {
+            pass(
+                &mut structure,
+                &mut torsions,
+                &mut scratch,
+                -0.05 + 0.01 * i as f64,
+            );
+        }
+    });
     assert_eq!(
-        after - before,
-        0,
-        "burial-enabled scoring allocated {} times after warm-up",
-        after - before
+        allocations, 0,
+        "burial-enabled scoring allocated {allocations} times after warm-up"
     );
 }
 
@@ -277,9 +298,11 @@ fn staged_arena_pipeline_is_allocation_free_after_warmup() {
     // (the default width, a non-divisor width with a ragged final block,
     // single-member blocks) and on the wide-lane SIMD backend, whose CCD
     // and VDW kernels stage into preallocated lane buffers.  Executors are
-    // pinned to one worker because the parallel dispatch path itself spawns
-    // scoped threads (an allocation by design); the kernels it runs are the
-    // same ones proven allocation-free here.
+    // pinned to one worker: the parallel dispatch path itself spawns scoped
+    // threads (an allocation by design), and the allocation counter is
+    // per thread, so only work on the measuring thread is counted.  The
+    // kernels the parallel path runs are the same ones proven
+    // allocation-free here.
     #[cfg_attr(not(feature = "simd"), allow(unused_mut))]
     let mut executor_configs = vec![
         ExecutorConfig::scalar(),
@@ -308,9 +331,8 @@ fn staged_arena_pipeline_is_allocation_free_after_warmup() {
             samples[done].store(allocation_count(), Ordering::Relaxed);
         };
         let controls = RunControls::new().progress(&progress);
-        let result = sampler
-            .run_controlled(&executor, 7, &controls)
-            .expect("uncancelled run succeeds");
+        let (result, _) = measure(|| sampler.run_controlled(&executor, 7, &controls));
+        let result = result.expect("uncancelled run succeeds");
         assert_eq!(result.population.len(), 12);
 
         // Iterations 1–3 may warm buffers up (profiler rows, trace growth);
@@ -336,12 +358,11 @@ fn legacy_scoring_path_still_allocates_for_contrast() {
     let kb = KnowledgeBase::build(KnowledgeBaseConfig::fast());
     let scorer = MultiScorer::new(kb);
     let structure = target.build(&LoopBuilder::default(), &target.native_torsions);
-    let before = allocation_count();
-    let scores = scorer.evaluate(&target, &structure, &target.native_torsions);
+    let (scores, allocations) =
+        measure(|| scorer.evaluate(&target, &structure, &target.native_torsions));
     assert!(scores.is_finite());
-    let after = allocation_count();
     assert!(
-        after > before,
+        allocations > 0,
         "legacy path should allocate; counter broken?"
     );
 }

@@ -11,8 +11,9 @@
 //! conformation drawn from Ramachandran statistics, anchors taken from a
 //! host segment built around it, and an environment shell of pseudo-atoms
 //! that the native does not clash with (except for the deliberately buried
-//! 1xyz case, which gets a dense, close shell).  See DESIGN.md for why this
-//! substitution preserves the behaviour the paper measures.
+//! 1xyz case, which gets a dense, close shell).  The substitution keeps
+//! what the paper measures — loop length, anchor geometry and environment
+//! density drive closure and scoring cost — without the PDB files.
 
 use crate::amino::AminoAcid;
 use crate::backbone::{build_segment_de_novo, AnchorFrame, LoopBuilder, LoopFrame, LoopStructure};

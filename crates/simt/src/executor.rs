@@ -14,9 +14,10 @@
 //!
 //! * [`Backend::Scalar`] — one conformation after another on the calling
 //!   thread: the "CPU implementation" baseline of the paper.
-//! * [`Backend::Parallel`] — a work-stealing data-parallel map over the
-//!   population (rayon), playing the role of the GPU in the heterogeneous
-//!   CPU–GPU platform.
+//! * [`Backend::Parallel`] — a data-parallel map over the population
+//!   (the vendored rayon subset, whose workers claim index ranges from a
+//!   shared counter so ragged per-member costs balance across cores),
+//!   playing the role of the GPU in the heterogeneous CPU–GPU platform.
 //! * [`Backend::Simd`] — the parallel dispatch plus explicit wide-`f64`
 //!   lanes inside the dominant kernels (lockstep CCD rotation batches, SoA
 //!   contact gathers); requires the `simd` cargo feature, which vendors a
@@ -54,14 +55,15 @@ use std::fmt;
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-/// Default lockstep CCD block width (population members per batched CCD
-/// call) reported by every backend unless overridden through
+/// Default CCD block width (lanes a batched CCD call keeps in flight)
+/// reported by every backend unless overridden through
 /// [`ExecutorConfig::ccd_block_width`].
 pub const DEFAULT_CCD_BLOCK_WIDTH: usize = 8;
 
 /// Upper bound on the configurable CCD block width.  The sampler stages
-/// lane descriptors for one block on the stack, so the width is capped to
-/// keep that staging area small and fixed-size.
+/// lane descriptors for one closure segment (a fixed multiple of the
+/// width) on the stack, so the width is capped to keep that staging area
+/// small and fixed-size.
 pub const MAX_CCD_BLOCK_WIDTH: usize = 64;
 
 /// Width of the explicit wide-`f64` lanes the SIMD backend vectorizes with
@@ -128,8 +130,8 @@ impl fmt::Display for Backend {
 }
 
 /// What an [`Executor`] reports about itself: the backend, its wide-lane
-/// width, its worker-thread budget and the lockstep CCD block width it
-/// wants the sampler to batch with.  Reported through
+/// width, its worker-thread budget and the CCD block width (lanes in
+/// flight) it wants the sampler to close with.  Reported through
 /// [`Executor::capabilities`] and recorded on perf artifacts
 /// (`Profiler::table2_report`, `BENCH_*.json`) and job results so every
 /// measurement is attributable to a backend.
@@ -149,7 +151,7 @@ pub struct Capabilities {
     pub lane_width: usize,
     /// Number of worker threads the executor will use.
     pub threads: usize,
-    /// Lockstep CCD block width the sampler should batch closure with.
+    /// CCD lanes the sampler should keep in flight per batched closure.
     pub ccd_block_width: usize,
     /// The instruction set the measurement is attributable to.  For the
     /// SIMD backend this is the wide shim's compiled/dispatched backend
@@ -312,9 +314,15 @@ impl ExecutorConfig {
         self
     }
 
-    /// Set the lockstep CCD block width the executor reports to the
-    /// sampler (validated against `1..=`[`MAX_CCD_BLOCK_WIDTH`] at
-    /// [`build`](Self::build) time).
+    /// Set the CCD block width the executor reports to the sampler:
+    /// how many CCD lanes one batched closure keeps sweeping in lockstep
+    /// (validated against `1..=`[`MAX_CCD_BLOCK_WIDTH`] at
+    /// [`build`](Self::build) time).  The sampler's `close` stage hands
+    /// each launch lane a segment of a fixed multiple of this many members
+    /// and refills a converged lane from the rest of its segment at the
+    /// next sweep boundary, so the width sets lockstep parallelism (wide
+    /// SIMD groups per rotation step) without idling converged lanes.
+    /// Trajectories are bit-identical at every width.
     pub fn ccd_block_width(mut self, width: usize) -> ExecutorConfig {
         self.ccd_block_width = width;
         self
@@ -442,40 +450,6 @@ pub struct Executor {
 }
 
 impl Executor {
-    /// The sequential baseline executor.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `ExecutorConfig::scalar().build()` (validated builder) instead"
-    )]
-    pub fn scalar() -> Executor {
-        ExecutorConfig::scalar()
-            .build()
-            .expect("default scalar config is valid")
-    }
-
-    /// A parallel executor using rayon's global pool (one thread per core).
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `ExecutorConfig::parallel().build()` (validated builder) instead"
-    )]
-    pub fn parallel() -> Executor {
-        ExecutorConfig::parallel()
-            .build()
-            .expect("default parallel config is valid")
-    }
-
-    /// A parallel executor with an explicit thread count.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `ExecutorConfig::parallel().threads(n).build()` (validated builder) instead"
-    )]
-    pub fn parallel_with_threads(threads: usize) -> Executor {
-        ExecutorConfig::parallel()
-            .threads(threads)
-            .build()
-            .expect("sized parallel config is valid")
-    }
-
     /// The lazily-built pool of an explicitly-sized pooled executor.
     fn sized_pool(pool: &OnceLock<ThreadPool>, threads: usize) -> &ThreadPool {
         pool.get_or_init(|| {
@@ -535,8 +509,8 @@ impl Executor {
         }
     }
 
-    /// The lockstep CCD block width this backend wants the sampler to
-    /// batch closure with.
+    /// The CCD block width this backend wants the sampler to close with:
+    /// how many CCD lanes are kept in flight in lockstep.
     pub fn ccd_block_width(&self) -> usize {
         self.ccd_block_width
     }
@@ -902,23 +876,6 @@ mod tests {
         parallel_with_threads(2).for_each_indexed(&mut items, |i, x| *x = i as u64);
         for (i, &x) in items.iter().enumerate() {
             assert_eq!(x, i as u64);
-        }
-    }
-
-    /// The deprecated constructors must keep working (thin wrappers over
-    /// the builder) until removal; this module is their only sanctioned
-    /// call site.
-    #[allow(deprecated)]
-    mod deprecated_constructors {
-        use super::super::*;
-
-        #[test]
-        fn legacy_constructors_match_the_builder() {
-            assert_eq!(Executor::scalar().capabilities().backend, Backend::Scalar);
-            let p = Executor::parallel();
-            assert_eq!(p.capabilities().backend, Backend::Parallel);
-            assert_eq!(p.ccd_block_width(), DEFAULT_CCD_BLOCK_WIDTH);
-            assert_eq!(Executor::parallel_with_threads(3).thread_count(), 3);
         }
     }
 }

@@ -55,7 +55,8 @@ pub enum FaultKind {
 
 /// The coordinates of one fault: a kernel, the ordinal of that kernel's
 /// launch within the run (0-based, counted per kernel kind), and the lane
-/// (logical device thread index, i.e. population member or CCD block).
+/// (logical device thread index, i.e. population member or CCD closure
+/// segment).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct FaultSite {
     /// Which kernel the fault targets.

@@ -9,7 +9,6 @@
 //! The numerical work is always performed for real on the host; only the
 //! *device timings* are modeled, which is what lets the benchmark harness
 //! regenerate the paper's Figure 4 and Tables I–III without CUDA hardware.
-//! See DESIGN.md ("Substitutions") for the fidelity argument.
 //!
 //! ## Quick example
 //!

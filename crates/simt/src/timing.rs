@@ -16,7 +16,7 @@
 //! Because both estimates are driven by the same measured work counts, the
 //! *shape* of the paper's results (which kernel dominates, how the speedup
 //! saturates with population size) is reproduced even though the absolute
-//! microseconds are synthetic.  See DESIGN.md ("Substitutions").
+//! microseconds are synthetic.
 
 use crate::device::{DeviceSpec, HostSpec};
 use crate::kernel::{KernelKind, LaunchConfig};

@@ -144,7 +144,9 @@
 //! a population-wide SoA member arena** — one population-wide launch per
 //! stage (`mutate`, `close`, `rebuild`, `score`, `metropolis`, `select`)
 //! per iteration, mirroring the paper's device execution, with lockstep
-//! CCD blocks batching the optimal-rotation inner products across members.
+//! CCD lanes in flight batching the optimal-rotation inner products across
+//! members (a converged lane is refilled from its closure segment's
+//! pending members at the next sweep boundary).
 //! This is an *internal* layout and execution-shape change with an
 //! **unchanged public API**: per-(member, iteration) RNG stream discipline
 //! keeps the batched pipeline bit-identical to the per-member reference
