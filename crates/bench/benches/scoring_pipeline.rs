@@ -20,7 +20,8 @@
 //! A fourth comparison measures the **population-batched kernel pipeline**:
 //! one full trajectory through the staged SoA-arena launches
 //! (`MoscemSampler::run_with_seed`) vs the per-member reference
-//! (`run_reference_with_seed`), reported as ns per member-iteration.  The
+//! (`run_reference_with_seed`: the same trajectory driver with one fused
+//! per-member candidate launch), reported as ns per member-iteration.  The
 //! two paths are asserted bit-identical on every measurement, so the ratio
 //! is pure execution-shape speedup.
 //!

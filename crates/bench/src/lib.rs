@@ -43,28 +43,38 @@ impl Scale {
         }
     }
 
-    /// Read the scale from the process arguments (`--scale <name>` or a bare
-    /// positional name), defaulting to [`Scale::Quick`].
+    /// Read the scale from the process arguments (`--scale <name>`,
+    /// `--scale=<name>` or a bare positional name), defaulting to
+    /// [`Scale::Quick`].  An unrecognised `--scale` value prints the valid
+    /// scales and exits the process with status 2.
     pub fn from_args() -> Scale {
-        let args: Vec<String> = std::env::args().collect();
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        Scale::scan(&args).unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(2)
+        })
+    }
+
+    /// The argument scan behind [`Scale::from_args`], over the arguments
+    /// after the program name.
+    fn scan(args: &[String]) -> Result<Scale, String> {
+        let named = |value: &str| {
+            Scale::parse(value).ok_or_else(|| {
+                format!("unknown scale {value:?}; valid scales are quick, standard and paper")
+            })
+        };
         for (i, a) in args.iter().enumerate() {
             if a == "--scale" {
-                if let Some(next) = args.get(i + 1) {
-                    if let Some(s) = Scale::parse(next) {
-                        return s;
-                    }
-                }
+                return named(args.get(i + 1).map_or("", String::as_str));
             }
-            if let Some(s) = a.strip_prefix("--scale=").and_then(Scale::parse) {
-                return s;
+            if let Some(value) = a.strip_prefix("--scale=") {
+                return named(value);
             }
-            if i > 0 {
-                if let Some(s) = Scale::parse(a) {
-                    return s;
-                }
+            if let Some(s) = Scale::parse(a) {
+                return Ok(s);
             }
         }
-        Scale::Quick
+        Ok(Scale::Quick)
     }
 
     /// Population size used by single-trajectory experiments at this scale.
@@ -210,6 +220,24 @@ mod tests {
         assert_eq!(Scale::parse("paper"), Some(Scale::Paper));
         assert_eq!(Scale::parse("full"), Some(Scale::Paper));
         assert_eq!(Scale::parse("nope"), None);
+    }
+
+    #[test]
+    fn scale_argument_scan() {
+        let scan =
+            |args: &[&str]| Scale::scan(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>());
+        assert_eq!(scan(&[]), Ok(Scale::Quick));
+        assert_eq!(scan(&["--scale", "paper"]), Ok(Scale::Paper));
+        assert_eq!(scan(&["--scale=standard"]), Ok(Scale::Standard));
+        assert_eq!(scan(&["std"]), Ok(Scale::Standard));
+        for bad in [
+            &["--scale", "paperr"][..],
+            &["--scale=paperr"],
+            &["--scale"],
+        ] {
+            let err = scan(bad).unwrap_err();
+            assert!(err.contains("quick, standard and paper"), "{bad:?}: {err}");
+        }
     }
 
     #[test]

@@ -4,8 +4,7 @@
 //! structure-of-arrays global memory — per-member torsions, score slots and
 //! flags addressed by thread id — and every pipeline stage is a
 //! population-wide kernel launch over those buffers.  [`PopulationArena`]
-//! is that layout on the host: the per-`Member` owned buffers of the
-//! sequential reference implementation are replaced by
+//! is that layout on the host:
 //!
 //! * flat member-major SoA buffers for everything cross-member stages read
 //!   (current/candidate torsion lanes, [`ScoreVector`] slots, closure and
@@ -53,8 +52,8 @@ pub(crate) fn segment_range(
 }
 
 /// One member's heavyweight reusable workspaces: the buffers the
-/// per-conformation kernels mutate through references, exactly as the
-/// per-`Member` reference implementation holds them.
+/// per-conformation kernels (staged and fused alike) mutate through
+/// references.
 #[derive(Debug)]
 pub(crate) struct MemberSlot {
     /// Reused structure buffer: holds the most recently built candidate.
@@ -240,8 +239,7 @@ impl PopulationArena {
     }
 
     /// Drain the arena into the final population, one [`Conformation`] per
-    /// member, mirroring the reference implementation's `Member → Conformation`
-    /// harvest.
+    /// member.
     pub(crate) fn into_population(self) -> Vec<crate::conformation::Conformation> {
         (0..self.n_members)
             .map(|i| crate::conformation::Conformation {

@@ -17,6 +17,14 @@
 //! data-parallel (the device role) — while every launch is also fed to the
 //! analytic device/host [`TimingModel`] so the experiment harness can report
 //! the paper's modeled GPU-vs-CPU timings alongside the measured host times.
+//!
+//! One driver runs every trajectory.  Production candidates come from the
+//! staged launches (`mutate`, `close`, `rebuild`, `score`) over the SoA
+//! [`PopulationArena`]; the bit-identity oracle
+//! [`MoscemSampler::run_reference_with_seed`] swaps in one fused
+//! per-member launch (mutation → CCD → scoring) writing the same candidate
+//! lanes.  Health, Metropolis, select, fitness, temperature, traces,
+//! snapshots and the timing accounting are shared by both.
 
 use crate::arena::{segment_range, MemberSlot, PopulationArena, MAX_CCD_SEGMENT_LEN};
 use crate::config::{InitMode, NumericGuard, ObjectiveMode, SamplerConfig};
@@ -27,8 +35,8 @@ use crate::mutation::Mutator;
 use crate::pareto::{fitness_against, non_dominated_indices};
 use lms_closure::{CcdCloser, CcdLane};
 use lms_geometry::{random_torsion, StreamRngFactory};
-use lms_protein::{LoopBuilder, LoopStructure, LoopTarget, RamaClass, RamaLibrary, Torsions};
-use lms_scoring::{KnowledgeBase, MultiScorer, ScoreScratch, ScoreVector, ScratchPool};
+use lms_protein::{LoopBuilder, LoopTarget, RamaClass, RamaLibrary, Torsions};
+use lms_scoring::{KnowledgeBase, MultiScorer, ScoreVector, ScratchPool};
 use lms_simt::{
     Executor, KernelKind, LaunchConfig, Profiler, SharedLanes, TimingModel, TransferKind,
 };
@@ -47,7 +55,8 @@ use std::time::{Duration, Instant};
 ///
 /// `RunControls::default()` is a no-op: with no controls set,
 /// [`MoscemSampler::run_controlled`] behaves exactly like
-/// [`MoscemSampler::run_with_seed`] and cannot fail.
+/// [`MoscemSampler::run_with_seed`], failing only when the config's
+/// [`JobLimits`](crate::JobLimits) or [`NumericGuard`] abort the run.
 #[derive(Clone, Copy, Default)]
 pub struct RunControls<'a> {
     cancel: Option<&'a AtomicBool>,
@@ -234,6 +243,8 @@ struct WorkModel {
     vdw_work: f64,
     /// Table lookups for TRIPLET.
     trip_work: f64,
+    /// Atom placements of the RMSD / candidate-lane readback.
+    rebuild_work: f64,
 }
 
 impl WorkModel {
@@ -263,61 +274,114 @@ impl WorkModel {
             dist_work,
             vdw_work,
             trip_work: n as f64,
+            rebuild_work: (4 * n) as f64,
         }
     }
 }
 
-/// Internal per-member state used inside the population kernels.
-///
-/// Besides the conformation itself, every member owns the workspace buffers
-/// of the zero-allocation pipeline, reused across all iterations: a
-/// [`LoopStructure`] that CCD rebuilds in place (suffix-only via
-/// `LoopBuilder::rebuild_from` after each accepted rotation) and hands to
-/// scoring, a [`ScoreScratch`] for the SoA scoring kernels (including the
-/// index buffer the VDW environment term gathers its per-site cell-list
-/// query results into), a candidate torsion vector for proposals, and the
-/// mutation-index scratch.  After the first iteration warms these buffers
-/// up, one member-iteration of the evolution kernel performs no heap
-/// allocation (verified by `tests/zero_alloc.rs`).
-#[derive(Debug, Clone)]
-struct Member {
-    conf: Conformation,
-    /// Reused structure buffer: holds the most recently built candidate.
-    structure: LoopStructure,
-    /// Reused scoring workspace.
-    scratch: ScoreScratch,
-    /// Reused candidate torsion vector for proposals.
-    cand: Torsions,
-    /// Reused mutated-index buffer for the mutation move.
-    mut_indices: Vec<usize>,
+/// The timing accounting of one trajectory: measured host time per
+/// algorithm component, the modeled device and single-core CPU totals,
+/// and the per-kernel / per-memcpy [`Profiler`] rows.
+struct Ledger<'a> {
+    timing: &'a TimingModel,
+    launch_cfg: LaunchConfig,
+    population: usize,
+    work: WorkModel,
+    profiler: Arc<Profiler>,
+    component: ComponentTimes,
+    modeled_gpu: f64,
+    modeled_cpu: f64,
+}
+
+impl<'a> Ledger<'a> {
+    fn new(
+        timing: &'a TimingModel,
+        target: &LoopTarget,
+        population: usize,
+        threads_per_block: usize,
+    ) -> Self {
+        Ledger {
+            timing,
+            launch_cfg: LaunchConfig::with_block_size(population, threads_per_block),
+            population,
+            work: WorkModel::for_target(target),
+            profiler: Arc::new(Profiler::new()),
+            component: ComponentTimes::default(),
+            modeled_gpu: 0.0,
+            modeled_cpu: 0.0,
+        }
+    }
+
+    /// Record one population-wide kernel launch: modeled device/CPU time
+    /// from the work model plus the measured host time.
+    fn kernel(&mut self, kind: KernelKind, per_thread_work: f64, host_us: f64) {
+        let occ = self.launch_cfg.occupancy(&self.timing.device, kind);
+        let gpu_us = self
+            .timing
+            .kernel_time_us(kind, self.launch_cfg, per_thread_work);
+        let cpu_us = self
+            .timing
+            .cpu_time_us(kind, self.population, per_thread_work);
+        let total_work = per_thread_work * self.population as f64;
+        self.profiler
+            .record_kernel(kind, gpu_us, host_us, total_work, occ);
+        self.modeled_gpu += gpu_us;
+        self.modeled_cpu += cpu_us;
+    }
+
+    /// Record one close launch that applied `rotations` (one entry per
+    /// member) in `host_us` of measured CCD time.
+    fn close(&mut self, rotations: &[f64], host_us: f64) {
+        self.component.ccd_us += host_us;
+        let mean = rotations.iter().sum::<f64>() / rotations.len().max(1) as f64;
+        let per_thread_work = (mean + 1.0) * self.work.ccd_per_rotation;
+        self.kernel(KernelKind::Ccd, per_thread_work, host_us);
+    }
+
+    /// Record one modeled host/device memory transfer.
+    fn transfer(&self, kind: TransferKind, bytes: usize) {
+        self.profiler
+            .record_transfer(&self.timing.device, kind, bytes);
+    }
+
+    /// Record a [`MoscemSampler::fused_step`] as the staged kernels it
+    /// stands in for (`Ccd`, `Rebuild` and the three `Eval` kernels, with
+    /// the same modeled work), so both candidate paths feed the same
+    /// modeled totals.  The measured CCD time lands on `Ccd`; the measured
+    /// scoring time is split across the evaluation kernels in proportion
+    /// to their modeled work.
+    fn fused(&mut self, rotations: &[f64], lanes: &[FusedLane]) {
+        self.close(rotations, lanes.iter().map(|l| l.ccd_us).sum());
+        let scoring_us: f64 = lanes.iter().map(|l| l.scoring_us).sum();
+        self.component.scoring_us += scoring_us;
+        let w = self.work;
+        let eval_us = |k: f64| scoring_us * k / (w.vdw_work + w.dist_work + w.trip_work);
+        self.kernel(KernelKind::Rebuild, w.rebuild_work, 0.0);
+        self.kernel(KernelKind::EvalVdw, w.vdw_work, eval_us(w.vdw_work));
+        self.kernel(KernelKind::EvalDist, w.dist_work, eval_us(w.dist_work));
+        self.kernel(KernelKind::EvalTrip, w.trip_work, eval_us(w.trip_work));
+    }
+}
+
+/// How a trajectory's candidates are produced.  Everything else in the
+/// driver is shared.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Candidates {
+    /// The production staged launches: `mutate`, `close`, `rebuild`,
+    /// `score`.
+    Staged,
+    /// The per-member reference: one fused launch per phase (see
+    /// [`MoscemSampler::fused_step`]).
+    Fused,
+}
+
+/// What the fused reference step keeps per member beyond the arena lanes:
+/// the current torsions as a vector for [`Mutator::mutate_into`], and the
+/// member's measured CCD and scoring time.
+struct FusedLane {
+    current: Torsions,
     ccd_us: f64,
     scoring_us: f64,
-    ccd_rotations: f64,
-    accepted_last: bool,
-    /// Whether the last close of this member's candidate converged (the
-    /// CCD non-convergence readback behind the stall guard).
-    converged_last: bool,
-    /// The first poisoned candidate lane the last evolution step saw, if
-    /// any (feeds the [`NumericGuard`] verdict on the host).
-    poison: Option<crate::health::PoisonedLane>,
-}
-
-impl Member {
-    fn new(n_res: usize, max_mutations: usize, scratch: ScoreScratch) -> Member {
-        Member {
-            conf: Conformation::new(Torsions::zeros(n_res)),
-            structure: LoopStructure::with_capacity(n_res),
-            scratch,
-            cand: Torsions::zeros(n_res),
-            mut_indices: Vec::with_capacity(max_mutations.max(1)),
-            ccd_us: 0.0,
-            scoring_us: 0.0,
-            ccd_rotations: 0.0,
-            accepted_last: false,
-            converged_last: false,
-            poison: None,
-        }
-    }
 }
 
 /// The MOSCEM multi-scoring-functions loop sampler.
@@ -397,476 +461,25 @@ impl MoscemSampler {
     }
 
     /// Run one sampling trajectory through the **per-member reference
-    /// implementation**: the evolution inner loop walks members one at a
-    /// time, each fused kernel doing mutation → CCD → scoring → Metropolis
-    /// for one conformation before moving to the next.
+    /// arithmetic**: each iteration's candidates come from one fused launch
+    /// in which every member runs mutation → CCD → scoring back to back
+    /// through the independent per-member routines
+    /// ([`Mutator::mutate_into`], [`CcdCloser::close_with_scratch`],
+    /// [`MultiScorer::evaluate_with`]), instead of the staged launches.
+    /// The rest of the trajectory runs through the same driver as
+    /// [`MoscemSampler::run_controlled`].
     ///
-    /// The production path is the staged population-batched pipeline of
-    /// [`MoscemSampler::run_controlled`]; this reference is kept precisely
+    /// The production path is the staged pipeline; this reference is kept
     /// because the per-(member, iteration) RNG stream discipline makes the
-    /// two **bit-identical**, which the batched-pipeline equivalence
-    /// property tests (`tests/batched_equivalence.rs`) verify against this
-    /// implementation.
+    /// two **bit-identical**, which the batched-pipeline equivalence tests
+    /// (`tests/batched_equivalence.rs`) verify against it.
+    ///
+    /// # Panics
+    ///
+    /// As [`MoscemSampler::run_with_seed`].
     pub fn run_reference_with_seed(&self, executor: &Executor, seed: u64) -> TrajectoryResult {
-        self.run_reference_controlled(executor, seed, &RunControls::new())
+        self.drive(executor, seed, &RunControls::new(), Candidates::Fused)
             .expect("a run without controls can only fail when JobLimits or NumericGuard abort it")
-    }
-
-    /// [`MoscemSampler::run_reference_with_seed`] under cooperative
-    /// [`RunControls`].
-    fn run_reference_controlled(
-        &self,
-        executor: &Executor,
-        seed: u64,
-        controls: &RunControls,
-    ) -> Result<TrajectoryResult, Error> {
-        let cfg = &self.config;
-        let n = cfg.population_size;
-        let n_res = self.target.n_residues();
-        let classes: Vec<RamaClass> = self
-            .target
-            .sequence
-            .iter()
-            .map(|aa| aa.rama_class())
-            .collect();
-        let factory = StreamRngFactory::new(seed);
-        let launch = LaunchConfig::with_block_size(n, cfg.threads_per_block);
-        let profiler = Arc::new(Profiler::new());
-        profiler.set_executor(executor.capabilities());
-        let work = WorkModel::for_target(&self.target);
-        let closer = CcdCloser::new(self.builder, cfg.ccd);
-        let spec = &self.timing.device;
-
-        let wall_start = Instant::now();
-        let limits = cfg.limits;
-        let deadline = limits.deadline.map(|d| (wall_start + d, d));
-        let mut stall_streak = 0usize;
-        let mut component = ComponentTimes::default();
-        let mut modeled_gpu = 0.0f64;
-        let mut modeled_cpu = 0.0f64;
-        let mut snapshots = Vec::new();
-        let mut total_proposed = 0usize;
-        let mut total_accepted = 0usize;
-
-        // --- Stage the pre-calculated data onto the device (texture /
-        // constant memory), as the paper does at program start. ------------
-        let kb_bytes = 27 * 36 * 36 * 4 + 16 * 3 * 32 * 4;
-        for _ in 0..8 {
-            profiler.record_transfer(spec, TransferKind::HtoA, kb_bytes / 8);
-        }
-        profiler.record_transfer(spec, TransferKind::HtoA, self.target.environment.len() * 16);
-        profiler.record_transfer(spec, TransferKind::HtoA, n_res * 8);
-        profiler.record_transfer(spec, TransferKind::HtoD, n * 2 * n_res * 4);
-        modeled_gpu += 0.0; // transfer time is accounted inside the profiler totals
-
-        // --- Initialization kernel -----------------------------------------
-        if Self::cancelled(controls) {
-            return Err(Error::Cancelled {
-                completed_iterations: 0,
-            });
-        }
-        if let Some((at, limit)) = deadline {
-            if Instant::now() >= at {
-                return Err(Error::DeadlineExceeded {
-                    limit,
-                    completed_iterations: 0,
-                });
-            }
-        }
-        // Warm the per-target environment-candidate cache on the host thread
-        // before the population kernels fan out.
-        self.target.env_candidates();
-        let mut members: Vec<Member> = (0..n)
-            .map(|_| {
-                let scratch = match controls.scratch_pool {
-                    Some(pool) => pool.acquire(n_res),
-                    None => ScoreScratch::for_loop_len(n_res),
-                };
-                Member::new(n_res, cfg.mutation.max_mutations, scratch)
-            })
-            .collect();
-
-        let init_factory = factory.derive(0xC0);
-        let rama = RamaLibrary::default();
-        let init_mode = cfg.init_mode;
-        let max_closure = cfg.max_closure_deviation;
-        let ccd_start_index = cfg.ccd.start_index;
-        executor.for_each_indexed(&mut members, |i, m| {
-            let mut rng = init_factory.stream(i as u64, 0);
-            sample_initial_torsions(init_mode, &classes, &rama, &mut m.conf.torsions, &mut rng);
-
-            let t_ccd = Instant::now();
-            let mut ccd = closer.close_with_scratch(
-                &self.target.frame,
-                &self.target.sequence,
-                &mut m.conf.torsions,
-                ccd_start_index,
-                &mut m.structure,
-            );
-            // The loop-closure condition gates everything downstream; when
-            // CCD stalls on a bad random start, redraw (deterministically
-            // from this member's stream) rather than seeding the population
-            // with an unclosed conformation.
-            let mut rotations = ccd.rotations_applied;
-            for _ in 0..3 {
-                if ccd.final_deviation <= max_closure {
-                    break;
-                }
-                sample_initial_torsions(init_mode, &classes, &rama, &mut m.conf.torsions, &mut rng);
-                ccd = closer.close_with_scratch(
-                    &self.target.frame,
-                    &self.target.sequence,
-                    &mut m.conf.torsions,
-                    ccd_start_index,
-                    &mut m.structure,
-                );
-                rotations += ccd.rotations_applied;
-            }
-            let ccd_us = t_ccd.elapsed().as_secs_f64() * 1e6;
-
-            // CCD leaves `m.structure` built from the final torsions, so
-            // scoring needs no rebuild.
-            let t_score = Instant::now();
-            let scores = self.scorer.evaluate_with(
-                &self.target,
-                &m.structure,
-                &m.conf.torsions,
-                &mut m.scratch,
-            );
-            let rmsd = self.target.rmsd_to_native(&m.structure);
-            let scoring_us = t_score.elapsed().as_secs_f64() * 1e6;
-
-            m.conf.scores = scores;
-            m.conf.closure_deviation = ccd.final_deviation;
-            m.conf.rmsd_to_native = rmsd;
-            m.ccd_us = ccd_us;
-            m.scoring_us = scoring_us;
-            m.ccd_rotations = rotations as f64;
-        });
-        self.account_population_kernels(
-            &members,
-            &work,
-            launch,
-            n,
-            &profiler,
-            &mut component,
-            &mut modeled_gpu,
-            &mut modeled_cpu,
-        );
-
-        // Initialisation numerical health: the same sweep-and-verdict the
-        // staged pipeline runs as its `[HealthSweep]` stage, applied to the
-        // members' freshly scored state.
-        if let Err(e) = self.reference_init_health(&mut members) {
-            Self::return_scratches(&mut members, controls);
-            return Err(e);
-        }
-
-        // --- Initial fitness + snapshot 0 ----------------------------------
-        let mut temperature_controller = cfg.effective_temperature_schedule().controller();
-        let mut temperature = temperature_controller.temperature();
-        let mut schedule_rng = factory.derive(0xA7).stream(0, 0);
-        let mut complex_traces: Vec<Vec<f64>> = vec![Vec::new(); cfg.n_complexes];
-        let scores_snapshot: Vec<ScoreVector> = members.iter().map(|m| m.conf.scores).collect();
-        let fitness = self.population_fitness(
-            executor,
-            &scores_snapshot,
-            launch,
-            &profiler,
-            &mut component,
-            &mut modeled_gpu,
-            &mut modeled_cpu,
-        );
-        for (m, f) in members.iter_mut().zip(fitness.iter()) {
-            m.conf.fitness = *f;
-        }
-        if cfg.snapshot_iterations.contains(&0) {
-            snapshots.push(self.snapshot(0, &members, temperature));
-        }
-        if let Some(report) = controls.progress {
-            report(0, cfg.iterations);
-        }
-
-        // --- MCMC iterations ------------------------------------------------
-        for iter in 1..=cfg.iterations {
-            if Self::cancelled(controls) {
-                Self::return_scratches(&mut members, controls);
-                return Err(Error::Cancelled {
-                    completed_iterations: iter - 1,
-                });
-            }
-            if let Some((at, limit)) = deadline {
-                if Instant::now() >= at {
-                    Self::return_scratches(&mut members, controls);
-                    return Err(Error::DeadlineExceeded {
-                        limit,
-                        completed_iterations: iter - 1,
-                    });
-                }
-            }
-            let other_start = Instant::now();
-            // Sorting (best fitness first) and stride partition into
-            // complexes, exactly as in the paper's pseudo-code; both stay on
-            // the host because they are a negligible share of the work.
-            let mut order: Vec<usize> = (0..n).collect();
-            order.sort_by(|&a, &b| {
-                members[a]
-                    .conf
-                    .fitness
-                    .partial_cmp(&members[b].conf.fitness)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-            });
-            let m_complexes = cfg.n_complexes;
-            let mut complex_of = vec![0usize; n];
-            let mut complex_scores: Vec<Vec<ScoreVector>> = vec![Vec::new(); m_complexes];
-            for (pos, &idx) in order.iter().enumerate() {
-                let c = pos % m_complexes;
-                complex_of[idx] = c;
-                complex_scores[c].push(members[idx].conf.scores);
-            }
-            let complex_scores = Arc::new(complex_scores);
-            let complex_of = Arc::new(complex_of);
-            component.other_us += other_start.elapsed().as_secs_f64() * 1e6;
-
-            // Evolution kernel: reproduction, CCD, scoring, Metropolis — one
-            // thread per conformation, against its complex's snapshot.
-            // Every stage writes into the member's persistent buffers
-            // (candidate torsions, loop structure, scoring scratch), so a
-            // member-iteration performs no heap allocation.
-            let evo_factory = factory.derive(1);
-            let mode = cfg.objective_mode;
-            let temperature_now = temperature;
-            executor.for_each_indexed(&mut members, |i, m| {
-                let mut rng = evo_factory.stream(i as u64, iter as u64);
-                let ccd_start = self.mutator.mutate_into(
-                    &m.conf.torsions,
-                    &classes,
-                    &mut rng,
-                    &mut m.cand,
-                    &mut m.mut_indices,
-                );
-
-                let t_ccd = Instant::now();
-                let ccd = closer.close_with_scratch(
-                    &self.target.frame,
-                    &self.target.sequence,
-                    &mut m.cand,
-                    ccd_start,
-                    &mut m.structure,
-                );
-                let ccd_us = t_ccd.elapsed().as_secs_f64() * 1e6;
-
-                // CCD leaves `m.structure` built from the final candidate
-                // torsions; score it directly (no rebuild).
-                let t_score = Instant::now();
-                let cand_scores =
-                    self.scorer
-                        .evaluate_with(&self.target, &m.structure, &m.cand, &mut m.scratch);
-                let cand_rmsd = self.target.rmsd_to_native(&m.structure);
-                let scoring_us = t_score.elapsed().as_secs_f64() * 1e6;
-
-                // Numerical health: a non-finite candidate lane never
-                // reaches the Metropolis draw (NaN compares false against
-                // the closure bound, so the gate alone would let it
-                // through), mirroring the staged pipeline's post-score
-                // health sweep.
-                let finite = crate::health::member_is_finite(
-                    &cand_scores,
-                    m.cand.as_slice(),
-                    ccd.final_deviation,
-                    cand_rmsd,
-                );
-                // The loop-closure condition: candidates that CCD could not
-                // bring back to the anchor are rejected outright (an open
-                // loop scores deceptively well by drifting off the protein).
-                let accept = if !finite || ccd.final_deviation > max_closure {
-                    false
-                } else {
-                    let reference = &complex_scores[complex_of[i]];
-                    let cand_fit = candidate_fitness(mode, &cand_scores, reference);
-                    let curr_fit = candidate_fitness(mode, &m.conf.scores, reference);
-                    if cand_fit <= curr_fit {
-                        true
-                    } else {
-                        let p = ((curr_fit - cand_fit) / temperature_now).exp();
-                        rng.gen::<f64>() < p
-                    }
-                };
-
-                m.conf.proposed_moves += 1;
-                if accept {
-                    std::mem::swap(&mut m.conf.torsions, &mut m.cand);
-                    m.conf.scores = cand_scores;
-                    m.conf.closure_deviation = ccd.final_deviation;
-                    m.conf.rmsd_to_native = cand_rmsd;
-                    m.conf.accepted_moves += 1;
-                }
-                m.accepted_last = accept;
-                m.ccd_us = ccd_us;
-                m.scoring_us = scoring_us;
-                m.ccd_rotations = ccd.rotations_applied as f64;
-                m.converged_last = ccd.converged;
-                m.poison = if finite {
-                    None
-                } else {
-                    crate::health::member_poison(
-                        &cand_scores,
-                        m.cand.as_slice(),
-                        ccd.final_deviation,
-                        cand_rmsd,
-                    )
-                };
-            });
-            // Numerical-health verdict and the closure stall guard, on the
-            // flags the evolution kernel recorded.
-            if members.iter().any(|m| m.poison.is_some()) {
-                if let Err(e) = self.reference_poison_verdict(&members, iter) {
-                    Self::return_scratches(&mut members, controls);
-                    return Err(e);
-                }
-            }
-            if let Some(limit) = limits.max_closure_stall {
-                if members.iter().any(|m| m.converged_last) {
-                    stall_streak = 0;
-                } else {
-                    stall_streak += 1;
-                    if stall_streak >= limit {
-                        Self::return_scratches(&mut members, controls);
-                        return Err(Error::Stalled {
-                            streak: stall_streak,
-                            limit,
-                            completed_iterations: iter - 1,
-                        });
-                    }
-                }
-            }
-            self.account_population_kernels(
-                &members,
-                &work,
-                launch,
-                n,
-                &profiler,
-                &mut component,
-                &mut modeled_gpu,
-                &mut modeled_cpu,
-            );
-            // Reproduction + Metropolis kernels (cheap; recorded for the
-            // profiler's completeness).
-            self.account_simple_kernel(
-                KernelKind::Reproduction,
-                launch,
-                n,
-                cfg.mutation.max_mutations as f64 * 5.0,
-                &profiler,
-                &mut modeled_gpu,
-                &mut modeled_cpu,
-            );
-            self.account_simple_kernel(
-                KernelKind::Metropolis,
-                launch,
-                n,
-                2.0,
-                &profiler,
-                &mut modeled_gpu,
-                &mut modeled_cpu,
-            );
-            // Fitness against the complex inside the evolution kernel.
-            let complex_work = 2.0 * cfg.complex_size() as f64 * cfg.active_objectives() as f64;
-            self.account_simple_kernel(
-                KernelKind::FitAssgComplex,
-                launch,
-                n,
-                complex_work,
-                &profiler,
-                &mut modeled_gpu,
-                &mut modeled_cpu,
-            );
-
-            // Acceptance statistics and adaptive temperature.
-            let other_start = Instant::now();
-            let accepted_now = members.iter().filter(|m| m.accepted_last).count();
-            total_accepted += accepted_now;
-            total_proposed += n;
-            let rate = accepted_now as f64 / n as f64;
-            temperature = temperature_controller.update(rate, &mut schedule_rng);
-
-            // Per-complex mean VDW trace for convergence diagnostics.
-            let mut sums = vec![(0.0f64, 0usize); cfg.n_complexes];
-            for (i, m) in members.iter().enumerate() {
-                let c = complex_of[i];
-                sums[c].0 += m.conf.scores.vdw();
-                sums[c].1 += 1;
-            }
-            for (c, (sum, count)) in sums.into_iter().enumerate() {
-                complex_traces[c].push(if count == 0 { 0.0 } else { sum / count as f64 });
-            }
-
-            // Per-iteration host/device traffic mirroring the paper's
-            // Table II memcpy pattern.
-            let conf_bytes = n * 2 * n_res * 4;
-            let score_bytes = n * cfg.active_objectives() * 4;
-            for _ in 0..5 {
-                profiler.record_transfer(spec, TransferKind::HtoD, 64);
-            }
-            profiler.record_transfer(spec, TransferKind::DtoA, conf_bytes);
-            profiler.record_transfer(spec, TransferKind::DtoA, score_bytes);
-            for _ in 0..7 {
-                profiler.record_transfer(spec, TransferKind::DtoH, score_bytes);
-            }
-            for _ in 0..3 {
-                profiler.record_transfer(spec, TransferKind::DtoD, score_bytes);
-            }
-            component.other_us += other_start.elapsed().as_secs_f64() * 1e6;
-
-            // Population-wide fitness for the next iteration's sorting.
-            let scores_snapshot: Vec<ScoreVector> = members.iter().map(|m| m.conf.scores).collect();
-            let fitness = self.population_fitness(
-                executor,
-                &scores_snapshot,
-                launch,
-                &profiler,
-                &mut component,
-                &mut modeled_gpu,
-                &mut modeled_cpu,
-            );
-            for (m, f) in members.iter_mut().zip(fitness.iter()) {
-                m.conf.fitness = *f;
-            }
-
-            if cfg.snapshot_iterations.contains(&iter) {
-                snapshots.push(self.snapshot(iter, &members, temperature));
-            }
-            if let Some(report) = controls.progress {
-                report(iter, cfg.iterations);
-            }
-        }
-
-        // Include modeled transfer time in the GPU total.
-        let transfer_us: f64 = profiler
-            .transfer_stats()
-            .values()
-            .map(|t| t.device_us)
-            .sum();
-        modeled_gpu += transfer_us;
-
-        Self::return_scratches(&mut members, controls);
-        let population: Vec<Conformation> = members.into_iter().map(|m| m.conf).collect();
-        Ok(TrajectoryResult {
-            population,
-            snapshots,
-            component_times: component,
-            modeled_gpu_us: modeled_gpu,
-            modeled_cpu_us: modeled_cpu,
-            host_wall: wall_start.elapsed(),
-            final_temperature: temperature,
-            acceptance_rate: if total_proposed == 0 {
-                0.0
-            } else {
-                total_accepted as f64 / total_proposed as f64
-            },
-            profiler,
-            complex_traces,
-        })
     }
 
     /// Run one sampling trajectory under cooperative [`RunControls`]
@@ -882,7 +495,7 @@ impl MoscemSampler {
     ///
     /// Because every conformation draws all randomness from its own
     /// `(member, iteration)` stream, the staged pipeline is
-    /// **bit-identical** to the per-member reference implementation
+    /// **bit-identical** to the per-member reference arithmetic
     /// ([`MoscemSampler::run_reference_with_seed`]); the equivalence is
     /// property-tested across executors and objective modes in
     /// `tests/batched_equivalence.rs`.  With empty controls this is exactly
@@ -897,6 +510,20 @@ impl MoscemSampler {
         seed: u64,
         controls: &RunControls,
     ) -> Result<TrajectoryResult, Error> {
+        self.drive(executor, seed, controls, Candidates::Staged)
+    }
+
+    /// The trajectory driver behind [`MoscemSampler::run_controlled`] and
+    /// [`MoscemSampler::run_reference_with_seed`]; `candidates` picks how
+    /// each phase's candidate lanes are produced.
+    fn drive(
+        &self,
+        executor: &Executor,
+        seed: u64,
+        controls: &RunControls,
+        candidates: Candidates,
+    ) -> Result<TrajectoryResult, Error> {
+        let fused = candidates == Candidates::Fused;
         let cfg = &self.config;
         let n = cfg.population_size;
         let n_res = self.target.n_residues();
@@ -907,29 +534,24 @@ impl MoscemSampler {
             .map(|aa| aa.rama_class())
             .collect();
         let factory = StreamRngFactory::new(seed);
-        let launch_cfg = LaunchConfig::with_block_size(n, cfg.threads_per_block);
-        let profiler = Arc::new(Profiler::new());
         let capabilities = executor.capabilities();
-        profiler.set_executor(capabilities);
-        let work = WorkModel::for_target(&self.target);
+        let mut ledger = Ledger::new(&self.timing, &self.target, n, cfg.threads_per_block);
+        ledger.profiler.set_executor(capabilities);
         // A backend reporting wide lanes gets the explicit wide-f64 CCD and
         // VDW kernels — bit-identical to the scalar loops, so this flips
         // only the instruction mix, never the trajectory.  The backend's
-        // block width is the number of CCD lanes kept in flight.
-        let wide = capabilities.lane_width > 1;
+        // block width is the number of CCD lanes kept in flight.  The fused
+        // reference keeps the scalar kernels.
+        let wide = !fused && capabilities.lane_width > 1;
         let closer = CcdCloser::new(self.builder, cfg.ccd)
             .with_wide_lanes(wide)
             .with_lanes_in_flight(executor.ccd_block_width());
         let scorer = self.scorer.clone().with_wide_lanes(wide);
-        let spec = &self.timing.device;
 
         let wall_start = Instant::now();
         let limits = cfg.limits;
         let deadline = limits.deadline.map(|d| (wall_start + d, d));
         let mut stall_streak = 0usize;
-        let mut component = ComponentTimes::default();
-        let mut modeled_gpu = 0.0f64;
-        let mut modeled_cpu = 0.0f64;
         let mut snapshots = Vec::new();
         let mut total_proposed = 0usize;
         let mut total_accepted = 0usize;
@@ -938,24 +560,14 @@ impl MoscemSampler {
         // constant memory), as the paper does at program start. ------------
         let kb_bytes = 27 * 36 * 36 * 4 + 16 * 3 * 32 * 4;
         for _ in 0..8 {
-            profiler.record_transfer(spec, TransferKind::HtoA, kb_bytes / 8);
+            ledger.transfer(TransferKind::HtoA, kb_bytes / 8);
         }
-        profiler.record_transfer(spec, TransferKind::HtoA, self.target.environment.len() * 16);
-        profiler.record_transfer(spec, TransferKind::HtoA, n_res * 8);
-        profiler.record_transfer(spec, TransferKind::HtoD, n * 2 * n_res * 4);
+        ledger.transfer(TransferKind::HtoA, self.target.environment.len() * 16);
+        ledger.transfer(TransferKind::HtoA, n_res * 8);
+        ledger.transfer(TransferKind::HtoD, n * 2 * n_res * 4);
 
-        if Self::cancelled(controls) {
-            return Err(Error::Cancelled {
-                completed_iterations: 0,
-            });
-        }
-        if let Some((at, limit)) = deadline {
-            if Instant::now() >= at {
-                return Err(Error::DeadlineExceeded {
-                    limit,
-                    completed_iterations: 0,
-                });
-            }
+        if let Some(e) = Self::interruption(controls, deadline, 0) {
+            return Err(e);
         }
         // Warm the per-target environment-candidate cache on the host thread
         // before the population kernels fan out, then allocate the arena —
@@ -970,88 +582,93 @@ impl MoscemSampler {
             executor.ccd_block_width(),
         );
         let stride = arena.stride();
+        let mut fused_lanes: Vec<FusedLane> = if fused {
+            (0..n)
+                .map(|_| FusedLane {
+                    current: Torsions::zeros(n_res),
+                    ccd_us: 0.0,
+                    scoring_us: 0.0,
+                })
+                .collect()
+        } else {
+            Vec::new()
+        };
 
-        // --- Initialization: staged sample/close rounds over the whole
-        // population, then the rebuild/score kernels. ----------------------
+        // --- Initialization: sample, close and score the whole population.
         let init_factory = factory.derive(0xC0);
         let rama = RamaLibrary::default();
         let init_mode = cfg.init_mode;
         let max_closure = cfg.max_closure_deviation;
+        let mutate_work = cfg.mutation.max_mutations as f64 * 5.0;
 
-        arena.segment_ccd_us.iter_mut().for_each(|t| *t = 0.0);
-        for round in 0..4usize {
-            // The loop-closure condition gates everything downstream; a
-            // member redraws (deterministically from its own stream) while
-            // CCD stalls above the bound, up to three times — the same
-            // retry discipline as the reference, expressed as masked
-            // population-wide rounds.
-            if round > 0 && arena.cand_closure_dev.iter().all(|&d| d <= max_closure) {
-                break;
-            }
-            {
-                let slots = SharedLanes::new(&mut arena.slots);
-                let rngs = SharedLanes::new(&mut arena.rngs);
-                let devs = &arena.cand_closure_dev;
-                let sample = executor.launch(KernelKind::Reproduction, n, |i| {
-                    if round > 0 && devs[i] <= max_closure {
-                        return;
-                    }
-                    // SAFETY: kernel i touches only member i's slot/stream.
-                    let slot = unsafe { slots.item_mut(i) };
-                    let rng = unsafe { rngs.item_mut(i) };
-                    if round == 0 {
-                        *rng = init_factory.stream(i as u64, 0);
-                    }
-                    sample_initial_torsions(init_mode, &classes, &rama, &mut slot.cand, rng);
-                    #[cfg(feature = "fault-injection")]
-                    if lms_simt::fault::take_nan() {
-                        slot.cand.set_angle(0, f64::NAN);
-                    }
-                });
-                // The reference times redraw sampling inside its CCD span;
-                // mirror that attribution.
-                if round == 0 {
-                    component.other_us += sample.host_us();
-                } else {
-                    component.ccd_us += sample.host_us();
-                }
-            }
-            self.stage_close(
+        if fused {
+            self.fused_step(
                 executor,
                 &mut arena,
+                &mut fused_lanes,
                 &closer,
-                if round > 0 { Some(max_closure) } else { None },
-                Some(cfg.ccd.start_index),
-                true,
+                &classes,
+                &rama,
+                &init_factory,
+                0,
             );
+            ledger.fused(&arena.ccd_rotations, &fused_lanes);
+        } else {
+            // Staged sample/close rounds over the whole population, then the
+            // rebuild/score kernels.
+            arena.segment_ccd_us.iter_mut().for_each(|t| *t = 0.0);
+            for round in 0..4usize {
+                // The loop-closure condition gates everything downstream; a
+                // member redraws (deterministically from its own stream)
+                // while CCD stalls above the bound, up to three times — the
+                // fused step's retry discipline, expressed as masked
+                // population-wide rounds.
+                if round > 0 && arena.cand_closure_dev.iter().all(|&d| d <= max_closure) {
+                    break;
+                }
+                {
+                    let slots = SharedLanes::new(&mut arena.slots);
+                    let rngs = SharedLanes::new(&mut arena.rngs);
+                    let devs = &arena.cand_closure_dev;
+                    let sample = executor.launch(KernelKind::Reproduction, n, |i| {
+                        if round > 0 && devs[i] <= max_closure {
+                            return;
+                        }
+                        // SAFETY: kernel i touches only member i's slot/stream.
+                        let slot = unsafe { slots.item_mut(i) };
+                        let rng = unsafe { rngs.item_mut(i) };
+                        if round == 0 {
+                            *rng = init_factory.stream(i as u64, 0);
+                        }
+                        sample_initial_torsions(init_mode, &classes, &rama, &mut slot.cand, rng);
+                        #[cfg(feature = "fault-injection")]
+                        if lms_simt::fault::take_nan() {
+                            slot.cand.set_angle(0, f64::NAN);
+                        }
+                    });
+                    // The fused step times redraw sampling inside its CCD
+                    // span; mirror that attribution.
+                    if round == 0 {
+                        ledger.component.other_us += sample.host_us();
+                    } else {
+                        ledger.component.ccd_us += sample.host_us();
+                    }
+                }
+                self.stage_close(
+                    executor,
+                    &mut arena,
+                    &closer,
+                    if round > 0 { Some(max_closure) } else { None },
+                    Some(cfg.ccd.start_index),
+                    true,
+                );
+            }
+            ledger.close(&arena.ccd_rotations, arena.segment_ccd_us.iter().sum());
+            self.stage_rebuild_and_score(executor, &mut arena, &scorer, &mut ledger);
         }
-        let init_ccd_us: f64 = arena.segment_ccd_us.iter().sum();
-        component.ccd_us += init_ccd_us;
-        let mean_rotations = arena.ccd_rotations.iter().sum::<f64>() / n.max(1) as f64;
-        self.record_kernel_launch(
-            KernelKind::Ccd,
-            launch_cfg,
-            n,
-            (mean_rotations + 1.0) * work.ccd_per_rotation,
-            init_ccd_us,
-            &profiler,
-            &mut modeled_gpu,
-            &mut modeled_cpu,
-        );
-        self.stage_rebuild_and_score(
-            executor,
-            &mut arena,
-            &scorer,
-            &work,
-            launch_cfg,
-            &profiler,
-            &mut component,
-            &mut modeled_gpu,
-            &mut modeled_cpu,
-        );
         // Numerical health sweep over the freshly scored candidates before
         // they become the population.
-        if let Err(e) = self.stage_health(executor, &mut arena, 0, &mut component) {
+        if let Err(e) = self.stage_health(executor, &mut arena, 0, &mut ledger) {
             arena.release_scratches(controls.scratch_pool);
             return Err(e);
         }
@@ -1071,15 +688,7 @@ impl MoscemSampler {
         let mut complex_traces: Vec<Vec<f64>> = (0..cfg.n_complexes)
             .map(|_| Vec::with_capacity(cfg.iterations))
             .collect();
-        self.stage_fitness(
-            executor,
-            &mut arena,
-            launch_cfg,
-            &profiler,
-            &mut component,
-            &mut modeled_gpu,
-            &mut modeled_cpu,
-        );
+        self.stage_fitness(executor, &mut arena, &mut ledger);
         if cfg.snapshot_iterations.contains(&0) {
             snapshots.push(self.snapshot_arena(0, &arena, temperature));
         }
@@ -1087,33 +696,22 @@ impl MoscemSampler {
             report(0, cfg.iterations);
         }
 
-        // --- MCMC iterations: one kernel launch per stage per iteration ---
+        // --- MCMC iterations ------------------------------------------------
         let evo_factory = factory.derive(1);
         let mode = cfg.objective_mode;
         let m_complexes = cfg.n_complexes;
         let complex_work = 2.0 * cfg.complex_size() as f64 * cfg.active_objectives() as f64;
         for iter in 1..=cfg.iterations {
-            if Self::cancelled(controls) {
+            if let Some(e) = Self::interruption(controls, deadline, iter - 1) {
                 arena.release_scratches(controls.scratch_pool);
-                return Err(Error::Cancelled {
-                    completed_iterations: iter - 1,
-                });
-            }
-            if let Some((at, limit)) = deadline {
-                if Instant::now() >= at {
-                    arena.release_scratches(controls.scratch_pool);
-                    return Err(Error::DeadlineExceeded {
-                        limit,
-                        completed_iterations: iter - 1,
-                    });
-                }
+                return Err(e);
             }
             let other_start = Instant::now();
             // Sorting (best fitness first) and stride partition into
             // complexes stay on the host, writing the arena's reusable
             // order / CSR-partition buffers.  The unstable sort breaks
-            // fitness ties by member index, which reproduces the stable
-            // reference sort's permutation exactly.
+            // fitness ties by member index, which is a stable sort's
+            // permutation.
             {
                 let (order, fitness) = (&mut arena.order, &arena.fitness);
                 order.clear();
@@ -1131,62 +729,58 @@ impl MoscemSampler {
                 arena.complex_scores[arena.complex_offsets[c] + pos / m_complexes] =
                     arena.scores[idx];
             }
-            component.other_us += other_start.elapsed().as_secs_f64() * 1e6;
+            ledger.component.other_us += other_start.elapsed().as_secs_f64() * 1e6;
 
-            // Stage 1 — mutate: seed the (member, iteration) stream, load
-            // the member's torsion lane and propose a candidate.
-            {
-                let slots = SharedLanes::new(&mut arena.slots);
-                let rngs = SharedLanes::new(&mut arena.rngs);
-                let starts = SharedLanes::new(&mut arena.ccd_start);
-                let cur = &arena.torsions;
-                let mutate = executor.launch(KernelKind::Reproduction, n, |i| {
-                    // SAFETY: kernel i touches only member i's lanes.
-                    let slot = unsafe { slots.item_mut(i) };
-                    let rng = unsafe { rngs.item_mut(i) };
-                    *rng = evo_factory.stream(i as u64, iter as u64);
-                    slot.cand.copy_from_flat(&cur[i * stride..(i + 1) * stride]);
-                    let start = self.mutator.mutate_in_place(
-                        &mut slot.cand,
-                        &classes,
-                        rng,
-                        &mut slot.mut_indices,
-                    );
-                    *unsafe { starts.item_mut(i) } = start;
-                    #[cfg(feature = "fault-injection")]
-                    if lms_simt::fault::take_nan() {
-                        slot.cand.set_angle(0, f64::NAN);
-                    }
-                });
-                component.other_us += mutate.host_us();
-                self.record_kernel_launch(
-                    KernelKind::Reproduction,
-                    launch_cfg,
-                    n,
-                    cfg.mutation.max_mutations as f64 * 5.0,
-                    mutate.host_us(),
-                    &profiler,
-                    &mut modeled_gpu,
-                    &mut modeled_cpu,
+            if fused {
+                // The fused reference step: mutate, close and score every
+                // member back to back in one launch.
+                self.fused_step(
+                    executor,
+                    &mut arena,
+                    &mut fused_lanes,
+                    &closer,
+                    &classes,
+                    &rama,
+                    &evo_factory,
+                    iter,
                 );
-            }
+                ledger.kernel(KernelKind::Reproduction, mutate_work, 0.0);
+                ledger.fused(&arena.ccd_rotations, &fused_lanes);
+            } else {
+                // Stage 1 — mutate: seed the (member, iteration) stream, load
+                // the member's torsion lane and propose a candidate.
+                {
+                    let slots = SharedLanes::new(&mut arena.slots);
+                    let rngs = SharedLanes::new(&mut arena.rngs);
+                    let starts = SharedLanes::new(&mut arena.ccd_start);
+                    let cur = &arena.torsions;
+                    let mutate = executor.launch(KernelKind::Reproduction, n, |i| {
+                        // SAFETY: kernel i touches only member i's lanes.
+                        let slot = unsafe { slots.item_mut(i) };
+                        let rng = unsafe { rngs.item_mut(i) };
+                        *rng = evo_factory.stream(i as u64, iter as u64);
+                        slot.cand.copy_from_flat(&cur[i * stride..(i + 1) * stride]);
+                        let start = self.mutator.mutate_in_place(
+                            &mut slot.cand,
+                            &classes,
+                            rng,
+                            &mut slot.mut_indices,
+                        );
+                        *unsafe { starts.item_mut(i) } = start;
+                        #[cfg(feature = "fault-injection")]
+                        if lms_simt::fault::take_nan() {
+                            slot.cand.set_angle(0, f64::NAN);
+                        }
+                    });
+                    ledger.component.other_us += mutate.host_us();
+                    ledger.kernel(KernelKind::Reproduction, mutate_work, mutate.host_us());
+                }
 
-            // Stage 2 — close: CCD segments, each keeping one block of
-            // lanes in flight with batched optimal-rotation inner products.
-            self.stage_close(executor, &mut arena, &closer, None, None, false);
-            let close_us: f64 = arena.segment_ccd_us.iter().sum();
-            component.ccd_us += close_us;
-            let mean_rotations = arena.ccd_rotations.iter().sum::<f64>() / n.max(1) as f64;
-            self.record_kernel_launch(
-                KernelKind::Ccd,
-                launch_cfg,
-                n,
-                (mean_rotations + 1.0) * work.ccd_per_rotation,
-                close_us,
-                &profiler,
-                &mut modeled_gpu,
-                &mut modeled_cpu,
-            );
+                // Stage 2 — close: CCD segments, each keeping one block of
+                // lanes in flight with batched optimal-rotation inner products.
+                self.stage_close(executor, &mut arena, &closer, None, None, false);
+                ledger.close(&arena.ccd_rotations, arena.segment_ccd_us.iter().sum());
+            }
             // Closure stall guard: a streak of iterations in which not a
             // single member's CCD converged means the sampler is burning
             // its budget without making progress.
@@ -1208,23 +802,15 @@ impl MoscemSampler {
 
             // Stages 3 + 4 — rebuild (observable readback) and the three
             // scoring kernels, one population-wide launch each.
-            self.stage_rebuild_and_score(
-                executor,
-                &mut arena,
-                &scorer,
-                &work,
-                launch_cfg,
-                &profiler,
-                &mut component,
-                &mut modeled_gpu,
-                &mut modeled_cpu,
-            );
+            if !fused {
+                self.stage_rebuild_and_score(executor, &mut arena, &scorer, &mut ledger);
+            }
 
             // Numerical health sweep: poisoned candidates are quarantined
             // (force-rejected without touching the member's stream) or fail
             // the job, per the configured guard policy — before the
             // Metropolis stage can let NaN into the population.
-            if let Err(e) = self.stage_health(executor, &mut arena, iter, &mut component) {
+            if let Err(e) = self.stage_health(executor, &mut arena, iter, &mut ledger) {
                 arena.release_scratches(controls.scratch_pool);
                 return Err(e);
             }
@@ -1262,27 +848,9 @@ impl MoscemSampler {
                     };
                     *unsafe { accepted.item_mut(i) } = accept;
                 });
-                component.other_us += met.host_us();
-                self.record_kernel_launch(
-                    KernelKind::Metropolis,
-                    launch_cfg,
-                    n,
-                    2.0,
-                    met.host_us(),
-                    &profiler,
-                    &mut modeled_gpu,
-                    &mut modeled_cpu,
-                );
-                self.record_kernel_launch(
-                    KernelKind::FitAssgComplex,
-                    launch_cfg,
-                    n,
-                    complex_work,
-                    0.0,
-                    &profiler,
-                    &mut modeled_gpu,
-                    &mut modeled_cpu,
-                );
+                ledger.component.other_us += met.host_us();
+                ledger.kernel(KernelKind::Metropolis, 2.0, met.host_us());
+                ledger.kernel(KernelKind::FitAssgComplex, complex_work, 0.0);
             }
 
             // Stage 6 — select: accepted candidates overwrite their
@@ -1311,17 +879,8 @@ impl MoscemSampler {
                         *unsafe { accepted_moves.item_mut(i) } += 1;
                     }
                 });
-                component.other_us += select.host_us();
-                self.record_kernel_launch(
-                    KernelKind::Select,
-                    launch_cfg,
-                    n,
-                    stride as f64,
-                    select.host_us(),
-                    &profiler,
-                    &mut modeled_gpu,
-                    &mut modeled_cpu,
-                );
+                ledger.component.other_us += select.host_us();
+                ledger.kernel(KernelKind::Select, stride as f64, select.host_us());
             }
 
             // Acceptance statistics and adaptive temperature.
@@ -1350,28 +909,20 @@ impl MoscemSampler {
             let conf_bytes = n * 2 * n_res * 4;
             let score_bytes = n * cfg.active_objectives() * 4;
             for _ in 0..5 {
-                profiler.record_transfer(spec, TransferKind::HtoD, 64);
+                ledger.transfer(TransferKind::HtoD, 64);
             }
-            profiler.record_transfer(spec, TransferKind::DtoA, conf_bytes);
-            profiler.record_transfer(spec, TransferKind::DtoA, score_bytes);
+            ledger.transfer(TransferKind::DtoA, conf_bytes);
+            ledger.transfer(TransferKind::DtoA, score_bytes);
             for _ in 0..7 {
-                profiler.record_transfer(spec, TransferKind::DtoH, score_bytes);
+                ledger.transfer(TransferKind::DtoH, score_bytes);
             }
             for _ in 0..3 {
-                profiler.record_transfer(spec, TransferKind::DtoD, score_bytes);
+                ledger.transfer(TransferKind::DtoD, score_bytes);
             }
-            component.other_us += other_start.elapsed().as_secs_f64() * 1e6;
+            ledger.component.other_us += other_start.elapsed().as_secs_f64() * 1e6;
 
             // Population-wide fitness for the next iteration's sorting.
-            self.stage_fitness(
-                executor,
-                &mut arena,
-                launch_cfg,
-                &profiler,
-                &mut component,
-                &mut modeled_gpu,
-                &mut modeled_cpu,
-            );
+            self.stage_fitness(executor, &mut arena, &mut ledger);
 
             if cfg.snapshot_iterations.contains(&iter) {
                 snapshots.push(self.snapshot_arena(iter, &arena, temperature));
@@ -1382,20 +933,20 @@ impl MoscemSampler {
         }
 
         // Include modeled transfer time in the GPU total.
-        let transfer_us: f64 = profiler
+        let transfer_us: f64 = ledger
+            .profiler
             .transfer_stats()
             .values()
             .map(|t| t.device_us)
             .sum();
-        modeled_gpu += transfer_us;
 
         arena.release_scratches(controls.scratch_pool);
         Ok(TrajectoryResult {
             population: arena.into_population(),
             snapshots,
-            component_times: component,
-            modeled_gpu_us: modeled_gpu,
-            modeled_cpu_us: modeled_cpu,
+            component_times: ledger.component,
+            modeled_gpu_us: ledger.modeled_gpu + transfer_us,
+            modeled_cpu_us: ledger.modeled_cpu,
             host_wall: wall_start.elapsed(),
             final_temperature: temperature,
             acceptance_rate: if total_proposed == 0 {
@@ -1403,7 +954,7 @@ impl MoscemSampler {
             } else {
                 total_accepted as f64 / total_proposed as f64
             },
-            profiler,
+            profiler: ledger.profiler,
             complex_traces,
         })
     }
@@ -1508,18 +1059,12 @@ impl MoscemSampler {
     /// host time.  The VDW kernel stages the shared Cα table (and, with the
     /// burial objective on, the contact counts) its successors consume from
     /// the member's scratch.
-    #[allow(clippy::too_many_arguments)]
     fn stage_rebuild_and_score(
         &self,
         executor: &Executor,
         arena: &mut PopulationArena,
         scorer: &MultiScorer,
-        work: &WorkModel,
-        launch_cfg: LaunchConfig,
-        profiler: &Profiler,
-        component: &mut ComponentTimes,
-        modeled_gpu: &mut f64,
-        modeled_cpu: &mut f64,
+        ledger: &mut Ledger,
     ) {
         let n = arena.n_members();
         let stride = arena.stride();
@@ -1544,23 +1089,14 @@ impl MoscemSampler {
             });
         }
         let rebuild_us: f64 = arena.stage_us.iter().sum();
-        component.scoring_us += rebuild_us;
-        self.record_kernel_launch(
-            KernelKind::Rebuild,
-            launch_cfg,
-            n,
-            (4 * self.target.n_residues()) as f64,
-            rebuild_us,
-            profiler,
-            modeled_gpu,
-            modeled_cpu,
-        );
+        ledger.component.scoring_us += rebuild_us;
+        ledger.kernel(KernelKind::Rebuild, ledger.work.rebuild_work, rebuild_us);
 
         // Score: one launch per objective kernel in canonical order.
         for (kind, per_thread_work) in [
-            (KernelKind::EvalVdw, work.vdw_work),
-            (KernelKind::EvalDist, work.dist_work),
-            (KernelKind::EvalTrip, work.trip_work),
+            (KernelKind::EvalVdw, ledger.work.vdw_work),
+            (KernelKind::EvalDist, ledger.work.dist_work),
+            (KernelKind::EvalTrip, ledger.work.trip_work),
         ] {
             {
                 let slots = SharedLanes::new(&mut arena.slots);
@@ -1605,35 +1141,119 @@ impl MoscemSampler {
                 });
             }
             let kernel_us: f64 = arena.stage_us.iter().sum();
-            component.scoring_us += kernel_us;
-            self.record_kernel_launch(
-                kind,
-                launch_cfg,
-                n,
-                per_thread_work,
-                kernel_us,
-                profiler,
-                modeled_gpu,
-                modeled_cpu,
-            );
+            ledger.component.scoring_us += kernel_us;
+            ledger.kernel(kind, per_thread_work, kernel_us);
         }
+    }
+
+    /// The per-member reference's candidate step: one launch in which each
+    /// member runs its whole candidate chain back to back through the
+    /// independent per-member routines — at `iteration` 0 sample →
+    /// [`CcdCloser::close_with_scratch`] (redrawing up to three times while
+    /// the closure bound is missed), later [`Mutator::mutate_into`] →
+    /// `close_with_scratch` — then [`MultiScorer::evaluate_with`] and the
+    /// RMSD to native.  It writes the same candidate lanes, rotation counts,
+    /// convergence flags and stream state as the staged `mutate`/`close`/
+    /// `rebuild`/`score` launches, so the rest of the driver cannot tell
+    /// the two apart.
+    #[allow(clippy::too_many_arguments)]
+    fn fused_step(
+        &self,
+        executor: &Executor,
+        arena: &mut PopulationArena,
+        lanes: &mut [FusedLane],
+        closer: &CcdCloser,
+        classes: &[RamaClass],
+        rama: &RamaLibrary,
+        factory: &StreamRngFactory,
+        iteration: usize,
+    ) {
+        let cfg = &self.config;
+        let (frame, sequence) = (&self.target.frame, &self.target.sequence);
+        let n = arena.n_members();
+        let stride = arena.stride();
+        let slots = SharedLanes::new(&mut arena.slots);
+        let fused = SharedLanes::new(lanes);
+        let rngs = SharedLanes::new(&mut arena.rngs);
+        let cand_flat = SharedLanes::new(&mut arena.cand_torsions);
+        let scores = SharedLanes::new(&mut arena.cand_scores);
+        let devs = SharedLanes::new(&mut arena.cand_closure_dev);
+        let rmsds = SharedLanes::new(&mut arena.cand_rmsd);
+        let rotations = SharedLanes::new(&mut arena.ccd_rotations);
+        let converged = SharedLanes::new(&mut arena.cand_converged);
+        let cur = &arena.torsions;
+        let _ = executor.launch(KernelKind::Ccd, n, |i| {
+            // SAFETY: kernel i touches only member i's slot, stream and lanes.
+            let slot = unsafe { slots.item_mut(i) };
+            let lane = unsafe { fused.item_mut(i) };
+            let rng = unsafe { rngs.item_mut(i) };
+            *rng = factory.stream(i as u64, iteration as u64);
+            let start = if iteration == 0 {
+                sample_initial_torsions(cfg.init_mode, classes, rama, &mut slot.cand, rng);
+                cfg.ccd.start_index
+            } else {
+                lane.current
+                    .copy_from_flat(&cur[i * stride..(i + 1) * stride]);
+                self.mutator.mutate_into(
+                    &lane.current,
+                    classes,
+                    rng,
+                    &mut slot.cand,
+                    &mut slot.mut_indices,
+                )
+            };
+            let t_ccd = Instant::now();
+            let mut ccd = closer.close_with_scratch(
+                frame,
+                sequence,
+                &mut slot.cand,
+                start,
+                &mut slot.structure,
+            );
+            let mut n_rotations = ccd.rotations_applied;
+            // An initial draw that CCD cannot close redraws from the same
+            // stream, up to three times.
+            let redraws = if iteration == 0 { 3 } else { 0 };
+            for _ in 0..redraws {
+                if ccd.final_deviation <= cfg.max_closure_deviation {
+                    break;
+                }
+                sample_initial_torsions(cfg.init_mode, classes, rama, &mut slot.cand, rng);
+                ccd = closer.close_with_scratch(
+                    frame,
+                    sequence,
+                    &mut slot.cand,
+                    start,
+                    &mut slot.structure,
+                );
+                n_rotations += ccd.rotations_applied;
+            }
+            lane.ccd_us = t_ccd.elapsed().as_secs_f64() * 1e6;
+
+            // CCD leaves the structure built from the final torsions, so
+            // scoring needs no rebuild.
+            let t_score = Instant::now();
+            *unsafe { scores.item_mut(i) } = self.scorer.evaluate_with(
+                &self.target,
+                &slot.structure,
+                &slot.cand,
+                &mut slot.scratch,
+            );
+            *unsafe { rmsds.item_mut(i) } = self.target.rmsd_to_native(&slot.structure);
+            lane.scoring_us = t_score.elapsed().as_secs_f64() * 1e6;
+
+            unsafe { cand_flat.lane_mut(i * stride, stride) }.copy_from_slice(slot.cand.as_slice());
+            *unsafe { devs.item_mut(i) } = ccd.final_deviation;
+            *unsafe { converged.item_mut(i) } = ccd.converged;
+            *unsafe { rotations.item_mut(i) } = n_rotations as f64;
+        });
     }
 
     /// Population-wide fitness assignment (Eq. 1) over the arena's score
     /// lanes, executed as two data-parallel passes of the
     /// `[FitAssg] within Population` kernel writing the arena's
     /// strength/front/fitness buffers in place.
-    #[allow(clippy::too_many_arguments)]
-    fn stage_fitness(
-        &self,
-        executor: &Executor,
-        arena: &mut PopulationArena,
-        launch_cfg: LaunchConfig,
-        profiler: &Profiler,
-        component: &mut ComponentTimes,
-        modeled_gpu: &mut f64,
-        modeled_cpu: &mut f64,
-    ) {
+    fn stage_fitness(&self, executor: &Executor, arena: &mut PopulationArena, ledger: &mut Ledger) {
         let n = arena.n_members();
         let start = Instant::now();
         match self.config.objective_mode {
@@ -1694,18 +1314,9 @@ impl MoscemSampler {
             }
         }
         let host_us = start.elapsed().as_secs_f64() * 1e6;
-        component.fitness_us += host_us;
+        ledger.component.fitness_us += host_us;
         let work_per_thread = 2.0 * n as f64 * self.config.active_objectives() as f64;
-        self.record_kernel_launch(
-            KernelKind::FitAssgPopulation,
-            launch_cfg,
-            n,
-            work_per_thread,
-            host_us,
-            profiler,
-            modeled_gpu,
-            modeled_cpu,
-        );
+        ledger.kernel(KernelKind::FitAssgPopulation, work_per_thread, host_us);
     }
 
     /// The staged `health` kernel: one population-wide `[HealthSweep]`
@@ -1715,8 +1326,8 @@ impl MoscemSampler {
     ///
     /// The sweep is a robustness stage of this implementation, not a paper
     /// task: it is deliberately *not* recorded into the profiler or the
-    /// modeled GPU/CPU totals, so the staged pipeline's modeled timings
-    /// stay comparable to the fused reference's.  Its measured host time
+    /// modeled GPU/CPU totals, which cover only the paper's kernels.  Its
+    /// measured host time
     /// lands in [`ComponentTimes::other_us`], and the CI perf gate bounds
     /// it below 3% of a staged iteration.
     fn stage_health(
@@ -1724,7 +1335,7 @@ impl MoscemSampler {
         executor: &Executor,
         arena: &mut PopulationArena,
         iteration: usize,
-        component: &mut ComponentTimes,
+        ledger: &mut Ledger,
     ) -> Result<(), Error> {
         let n = arena.n_members();
         let stride = arena.stride();
@@ -1745,7 +1356,7 @@ impl MoscemSampler {
                 );
             });
         }
-        component.other_us += start.elapsed().as_secs_f64() * 1e6;
+        ledger.component.other_us += start.elapsed().as_secs_f64() * 1e6;
         if arena.healthy.iter().all(|&h| h) {
             return Ok(());
         }
@@ -1823,99 +1434,7 @@ impl MoscemSampler {
         }
     }
 
-    /// Initialisation-round health check of the per-member reference
-    /// implementation: the same classification and [`NumericGuard`] verdict
-    /// as the staged `[HealthSweep]` stage, applied to the members' freshly
-    /// initialised state.
-    fn reference_init_health(&self, members: &mut [Member]) -> Result<(), Error> {
-        fn poison_of(m: &Member) -> Option<crate::health::PoisonedLane> {
-            crate::health::member_poison(
-                &m.conf.scores,
-                m.conf.torsions.as_slice(),
-                m.conf.closure_deviation,
-                m.conf.rmsd_to_native,
-            )
-        }
-        let Some(first_bad) = members.iter().position(|m| poison_of(m).is_some()) else {
-            return Ok(());
-        };
-        let donor = members.iter().position(|m| poison_of(m).is_none());
-        let Some(donor) =
-            donor.filter(|_| matches!(self.config.numeric_guard, NumericGuard::Quarantine))
-        else {
-            return Err(Error::NumericalFault {
-                member: first_bad,
-                iteration: 0,
-                objective: poison_of(&members[first_bad]).and_then(|p| p.objective()),
-            });
-        };
-        let donor_conf = members[donor].conf.clone();
-        for m in members.iter_mut() {
-            if poison_of(m).is_some() {
-                m.conf
-                    .torsions
-                    .copy_from_flat(donor_conf.torsions.as_slice());
-                m.conf.scores = donor_conf.scores;
-                m.conf.closure_deviation = donor_conf.closure_deviation;
-                m.conf.rmsd_to_native = donor_conf.rmsd_to_native;
-            }
-        }
-        Ok(())
-    }
-
-    /// Mid-run [`NumericGuard`] verdict of the per-member reference
-    /// implementation.  The fused evolution kernel already force-rejected
-    /// every poisoned candidate (the reference-path form of quarantine);
-    /// what is left is failing the job when the policy is `Fail` or when
-    /// the whole population proposed poison.
-    fn reference_poison_verdict(&self, members: &[Member], iteration: usize) -> Result<(), Error> {
-        let Some(first_bad) = members.iter().position(|m| m.poison.is_some()) else {
-            return Ok(());
-        };
-        let all_poisoned = members.iter().all(|m| m.poison.is_some());
-        if matches!(self.config.numeric_guard, NumericGuard::Fail) || all_poisoned {
-            return Err(Error::NumericalFault {
-                member: first_bad,
-                iteration,
-                objective: members[first_bad].poison.and_then(|p| p.objective()),
-            });
-        }
-        Ok(())
-    }
-
-    /// Record one staged kernel launch: modeled device/CPU time from the
-    /// work model plus the measured host time, keeping the per-kernel
-    /// [`Profiler`] rows of the staged pipeline as honest as the fused
-    /// reference's.
-    #[allow(clippy::too_many_arguments)]
-    fn record_kernel_launch(
-        &self,
-        kind: KernelKind,
-        launch_cfg: LaunchConfig,
-        population: usize,
-        per_thread_work: f64,
-        host_us: f64,
-        profiler: &Profiler,
-        modeled_gpu: &mut f64,
-        modeled_cpu: &mut f64,
-    ) {
-        let occ = launch_cfg.occupancy(&self.timing.device, kind);
-        let gpu_us = self
-            .timing
-            .kernel_time_us(kind, launch_cfg, per_thread_work);
-        let cpu_us = self.timing.cpu_time_us(kind, population, per_thread_work);
-        profiler.record_kernel(
-            kind,
-            gpu_us,
-            host_us,
-            per_thread_work * population as f64,
-            occ,
-        );
-        *modeled_gpu += gpu_us;
-        *modeled_cpu += cpu_us;
-    }
-
-    /// [`MoscemSampler::snapshot`] over the arena's SoA lanes.
+    /// A [`IterationSnapshot`] of the arena's current population.
     fn snapshot_arena(
         &self,
         iteration: usize,
@@ -1937,19 +1456,26 @@ impl MoscemSampler {
         }
     }
 
-    /// Whether the controls' cancel flag is raised.
-    fn cancelled(controls: &RunControls) -> bool {
-        controls
+    /// The error that stops a run after `completed_iterations`, if any: a
+    /// raised cancel flag first, then a passed deadline.
+    fn interruption(
+        controls: &RunControls,
+        deadline: Option<(Instant, Duration)>,
+        completed_iterations: usize,
+    ) -> Option<Error> {
+        if controls
             .cancel
             .is_some_and(|flag| flag.load(Ordering::Relaxed))
-    }
-
-    /// Hand every member's scoring scratch back to the controls' pool (a
-    /// no-op without one); called on every exit path of a controlled run.
-    fn return_scratches(members: &mut [Member], controls: &RunControls) {
-        if let Some(pool) = controls.scratch_pool {
-            pool.release_all(members.iter_mut().map(|m| std::mem::take(&mut m.scratch)));
+        {
+            return Some(Error::Cancelled {
+                completed_iterations,
+            });
         }
+        let (at, limit) = deadline?;
+        (Instant::now() >= at).then_some(Error::DeadlineExceeded {
+            limit,
+            completed_iterations,
+        })
     }
 
     /// Run repeated trajectories (fresh seed each time) harvesting distinct
@@ -1981,174 +1507,10 @@ impl MoscemSampler {
             trajectories,
         }
     }
-
-    fn snapshot(
-        &self,
-        iteration: usize,
-        members: &[Member],
-        temperature: f64,
-    ) -> IterationSnapshot {
-        let scores: Vec<ScoreVector> = members.iter().map(|m| m.conf.scores).collect();
-        let nd = non_dominated_indices(&scores);
-        let front: Vec<(ScoreVector, f64)> = nd
-            .iter()
-            .map(|&i| (members[i].conf.scores, members[i].conf.rmsd_to_native))
-            .collect();
-        let best_rmsd = members
-            .iter()
-            .map(|m| m.conf.rmsd_to_native)
-            .fold(f64::INFINITY, f64::min);
-        IterationSnapshot {
-            iteration,
-            non_dominated_count: nd.len(),
-            front,
-            best_rmsd,
-            temperature,
-        }
-    }
-
-    /// Population-wide fitness assignment (Eq. 1), executed as two passes of
-    /// a data-parallel kernel and recorded as the paper's
-    /// `[FitAssg] within Population` kernel.
-    #[allow(clippy::too_many_arguments)]
-    fn population_fitness(
-        &self,
-        executor: &Executor,
-        scores: &[ScoreVector],
-        launch: LaunchConfig,
-        profiler: &Profiler,
-        component: &mut ComponentTimes,
-        modeled_gpu: &mut f64,
-        modeled_cpu: &mut f64,
-    ) -> Vec<f64> {
-        let n = scores.len();
-        let mode = self.config.objective_mode;
-        let start = Instant::now();
-        let fitness = match mode {
-            ObjectiveMode::MultiScoring => {
-                // Pass 1: strength and non-dominated flag per member.
-                let (pass1, _) = executor.map_indexed(scores, |i, si| {
-                    let dominated = scores.iter().filter(|sj| si.dominates(sj)).count();
-                    let is_nd = !scores
-                        .iter()
-                        .enumerate()
-                        .any(|(j, sj)| j != i && sj.dominates(si));
-                    (dominated as f64 / n as f64, is_nd)
-                });
-                // Pass 2: Eq. 1.
-                let pass1 = Arc::new(pass1);
-                let p1 = Arc::clone(&pass1);
-                let (fitness, _) = executor.map_indexed(scores, move |i, si| {
-                    if p1[i].1 {
-                        p1[i].0
-                    } else {
-                        1.0 + scores
-                            .iter()
-                            .enumerate()
-                            .filter(|(j, sj)| p1[*j].1 && sj.dominates(si))
-                            .map(|(j, _)| p1[j].0)
-                            .sum::<f64>()
-                    }
-                });
-                fitness
-            }
-            ObjectiveMode::Single(obj) => scores.iter().map(|s| obj.value(s)).collect(),
-            ObjectiveMode::WeightedSum(w) => scores.iter().map(|s| weighted_sum(&w, s)).collect(),
-        };
-        let host_us = start.elapsed().as_secs_f64() * 1e6;
-        component.fitness_us += host_us;
-
-        let work_per_thread = 2.0 * n as f64 * self.config.active_objectives() as f64;
-        let occ = launch.occupancy(&self.timing.device, KernelKind::FitAssgPopulation);
-        let gpu_us =
-            self.timing
-                .kernel_time_us(KernelKind::FitAssgPopulation, launch, work_per_thread);
-        let cpu_us = self
-            .timing
-            .cpu_time_us(KernelKind::FitAssgPopulation, n, work_per_thread);
-        profiler.record_kernel(
-            KernelKind::FitAssgPopulation,
-            gpu_us,
-            host_us,
-            work_per_thread * n as f64,
-            occ,
-        );
-        *modeled_gpu += gpu_us;
-        *modeled_cpu += cpu_us;
-        fitness
-    }
-
-    /// Record the CCD and the three scoring kernels for one population-wide
-    /// launch, using the members' measured times and the work model.
-    #[allow(clippy::too_many_arguments)]
-    fn account_population_kernels(
-        &self,
-        members: &[Member],
-        work: &WorkModel,
-        launch: LaunchConfig,
-        population: usize,
-        profiler: &Profiler,
-        component: &mut ComponentTimes,
-        modeled_gpu: &mut f64,
-        modeled_cpu: &mut f64,
-    ) {
-        let n = population.max(1);
-        let ccd_host_us: f64 = members.iter().map(|m| m.ccd_us).sum();
-        let scoring_host_us: f64 = members.iter().map(|m| m.scoring_us).sum();
-        component.ccd_us += ccd_host_us;
-        component.scoring_us += scoring_host_us;
-
-        let mean_rotations: f64 = members.iter().map(|m| m.ccd_rotations).sum::<f64>() / n as f64;
-        let ccd_work = (mean_rotations + 1.0) * work.ccd_per_rotation;
-
-        // Split the measured scoring time across the three evaluation
-        // kernels in proportion to their modeled work so the host columns of
-        // Table II stay meaningful.
-        let eval_total_work = work.dist_work + work.vdw_work + work.trip_work;
-        let kernels: [(KernelKind, f64); 4] = [
-            (KernelKind::Ccd, ccd_work),
-            (KernelKind::EvalDist, work.dist_work),
-            (KernelKind::EvalVdw, work.vdw_work),
-            (KernelKind::EvalTrip, work.trip_work),
-        ];
-        for (kind, per_thread_work) in kernels {
-            let occ = launch.occupancy(&self.timing.device, kind);
-            let gpu_us = self.timing.kernel_time_us(kind, launch, per_thread_work);
-            let cpu_us = self.timing.cpu_time_us(kind, n, per_thread_work);
-            let host_us = match kind {
-                KernelKind::Ccd => ccd_host_us,
-                _ => scoring_host_us * per_thread_work / eval_total_work.max(1e-12),
-            };
-            profiler.record_kernel(kind, gpu_us, host_us, per_thread_work * n as f64, occ);
-            *modeled_gpu += gpu_us;
-            *modeled_cpu += cpu_us;
-        }
-    }
-
-    /// Record one lightweight kernel launch that has no separately measured
-    /// host time.
-    #[allow(clippy::too_many_arguments)]
-    fn account_simple_kernel(
-        &self,
-        kind: KernelKind,
-        launch: LaunchConfig,
-        population: usize,
-        work_per_thread: f64,
-        profiler: &Profiler,
-        modeled_gpu: &mut f64,
-        modeled_cpu: &mut f64,
-    ) {
-        let occ = launch.occupancy(&self.timing.device, kind);
-        let gpu_us = self.timing.kernel_time_us(kind, launch, work_per_thread);
-        let cpu_us = self.timing.cpu_time_us(kind, population, work_per_thread);
-        profiler.record_kernel(kind, gpu_us, 0.0, work_per_thread * population as f64, occ);
-        *modeled_gpu += gpu_us;
-        *modeled_cpu += cpu_us;
-    }
 }
 
 /// Draw one member's initial torsions under the configured init mode.
-/// Shared by the per-member reference and the staged pipeline's init
+/// Shared by the fused reference step and the staged pipeline's init
 /// kernel: bit-identity between the two depends on identical draw
 /// sequences, so there is exactly one sampling implementation to drift.
 fn sample_initial_torsions<R: Rng + ?Sized>(
@@ -2271,6 +1633,40 @@ mod tests {
         }
         assert_eq!(a.final_temperature, b.final_temperature);
         assert_eq!(a.acceptance_rate, b.acceptance_rate);
+    }
+
+    #[test]
+    fn staged_fitness_is_eq1_of_the_final_scores() {
+        // The driver's `stage_fitness` launches are the only Eq. 1 path a
+        // trajectory runs; they must agree bit for bit with the
+        // `pareto::fitness_assignment` definition on the final population.
+        let cfg = SamplerConfig {
+            population_size: 20,
+            n_complexes: 2,
+            iterations: 3,
+            ..SamplerConfig::test_scale()
+        };
+        assert_eq!(cfg.objective_mode, ObjectiveMode::MultiScoring);
+        let sampler = small_sampler("1cex", cfg);
+        let two_threads = lms_simt::ExecutorConfig::parallel()
+            .threads(2)
+            .build()
+            .expect("valid config");
+        for executor in [scalar(), two_threads] {
+            for seed in [3u64, 17] {
+                let result = sampler.run_with_seed(&executor, seed);
+                let scores: Vec<ScoreVector> = result.population.iter().map(|c| c.scores).collect();
+                let expected = crate::pareto::fitness_assignment(&scores);
+                for (i, (c, f)) in result.population.iter().zip(&expected).enumerate() {
+                    assert_eq!(
+                        c.fitness.to_bits(),
+                        f.to_bits(),
+                        "{} seed {seed}: member {i} fitness",
+                        executor.name()
+                    );
+                }
+            }
+        }
     }
 
     #[test]

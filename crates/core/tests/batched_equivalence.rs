@@ -1,7 +1,10 @@
 //! Property tests: the staged population-batched kernel pipeline
 //! (`MoscemSampler::run_controlled` / `run_with_seed`) is **bit-identical**
-//! to the per-member reference implementation
-//! (`MoscemSampler::run_reference_with_seed`) — across every executor
+//! to the per-member reference (`MoscemSampler::run_reference_with_seed`),
+//! whose candidates come from one fused per-member launch (mutation → CCD
+//! → scoring through `Mutator::mutate_into`,
+//! `CcdCloser::close_with_scratch` and `MultiScorer::evaluate_with`) while
+//! the shared trajectory driver does the rest — across every executor
 //! backend (scalar / parallel / SIMD when compiled in), several CCD block
 //! widths (lanes in flight), multi-segment populations, both objective
 //! modes (3- and 4-objective), the single-objective and weighted-sum
@@ -9,10 +12,10 @@
 //!
 //! This is the contract that makes the SoA arena refactor and the pluggable
 //! backend API safe: the staged launches (`mutate`, `close`, `rebuild`,
-//! `score`, `metropolis`, `select`) reorganise *execution*, never
-//! *computation* — every member draws the same `(member, iteration)` random
-//! stream and sees the same floating-point operation sequence as the fused
-//! per-member loop, whatever backend or block width runs it.  Every new
+//! `score`) reorganise *execution*, never *computation* — every member
+//! draws the same `(member, iteration)` random stream and sees the same
+//! floating-point operation sequence as the fused per-member step,
+//! whatever backend or block width runs it.  Every new
 //! backend must join [`equivalence_executors`] to ship.
 
 use lms_core::{MoscemSampler, ObjectiveMode, SamplerConfig, TrajectoryResult};

@@ -94,7 +94,8 @@ fn member_iteration_is_allocation_free_after_warmup() {
     let classes: Vec<RamaClass> = target.sequence.iter().map(|aa| aa.rama_class()).collect();
     let factory = StreamRngFactory::new(42);
 
-    // Per-member persistent buffers, exactly as `Member` holds them.
+    // Per-member persistent buffers, as the sampler's fused reference step
+    // uses them (the arena's member slot plus the current torsions).
     let n_res = target.n_residues();
     let mut current = target.native_torsions.clone();
     let mut cand = Torsions::zeros(n_res);

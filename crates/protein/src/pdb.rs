@@ -73,7 +73,9 @@ pub struct PdbAtom {
 }
 
 /// Parse the `ATOM` records out of PDB-formatted text.  Lines that are not
-/// `ATOM` records are ignored; malformed `ATOM` lines produce an error.
+/// `ATOM` records are ignored; malformed `ATOM` lines — too short, a column
+/// field split inside a multi-byte character, an unparsable number or a
+/// non-finite coordinate — produce an error.
 pub fn parse_pdb_atoms(text: &str) -> Result<Vec<PdbAtom>, String> {
     let mut atoms = Vec::new();
     for (lineno, line) in text.lines().enumerate() {
@@ -83,20 +85,31 @@ pub fn parse_pdb_atoms(text: &str) -> Result<Vec<PdbAtom>, String> {
         if line.len() < 54 {
             return Err(format!("line {}: ATOM record too short", lineno + 1));
         }
-        let parse_f = |s: &str, what: &str| -> Result<f64, String> {
-            s.trim()
-                .parse::<f64>()
-                .map_err(|e| format!("line {}: bad {what}: {e}", lineno + 1))
+        // PDB fields are fixed byte columns; a non-ASCII byte can put a
+        // column boundary inside a character, which is malformed input.
+        let field = |cols: std::ops::Range<usize>, what: &str| -> Result<&str, String> {
+            line.get(cols)
+                .map(str::trim)
+                .ok_or_else(|| format!("line {}: {what} splits a multi-byte character", lineno + 1))
         };
-        let name = line[12..16].trim().to_string();
-        let residue = line[17..20].trim().to_string();
-        let res_seq = line[22..26]
-            .trim()
+        let parse_f = |cols: std::ops::Range<usize>, what: &str| -> Result<f64, String> {
+            let v = field(cols, what)?
+                .parse::<f64>()
+                .map_err(|e| format!("line {}: bad {what}: {e}", lineno + 1))?;
+            if v.is_finite() {
+                Ok(v)
+            } else {
+                Err(format!("line {}: non-finite {what}: {v}", lineno + 1))
+            }
+        };
+        let name = field(12..16, "atom name")?.to_string();
+        let residue = field(17..20, "residue name")?.to_string();
+        let res_seq = field(22..26, "residue number")?
             .parse::<usize>()
             .map_err(|e| format!("line {}: bad residue number: {e}", lineno + 1))?;
-        let x = parse_f(&line[30..38], "x coordinate")?;
-        let y = parse_f(&line[38..46], "y coordinate")?;
-        let z = parse_f(&line[46..54], "z coordinate")?;
+        let x = parse_f(30..38, "x coordinate")?;
+        let y = parse_f(38..46, "y coordinate")?;
+        let z = parse_f(46..54, "z coordinate")?;
         atoms.push(PdbAtom {
             name,
             residue,
@@ -178,6 +191,27 @@ mod tests {
         let bad_number =
             "ATOM      1 N    ALA A  4x       1.000   2.000   3.000  1.00  0.00           N\n";
         assert!(parse_pdb_atoms(bad_number).is_err());
+    }
+
+    #[test]
+    fn parser_rejects_non_finite_coordinates() {
+        for bad in ["     NaN", "     inf", "    -inf"] {
+            let line = format!(
+                "ATOM      1 N    ALA A  40       1.000{bad}   3.000  1.00  0.00           N\n"
+            );
+            let err = parse_pdb_atoms(&line).unwrap_err();
+            assert!(err.contains("non-finite y coordinate"), "{bad}: {err}");
+        }
+    }
+
+    #[test]
+    fn parser_rejects_a_field_split_inside_a_multibyte_character() {
+        // `é` is two bytes, so byte 12 (the atom-name column start) falls
+        // inside it.
+        let line =
+            "ATOM      1éN   ALA A  40       1.000   2.000   3.000  1.00  0.00           N\n";
+        let err = parse_pdb_atoms(line).unwrap_err();
+        assert!(err.contains("atom name"), "{err}");
     }
 
     #[test]

@@ -575,29 +575,6 @@ impl Executor {
         start.elapsed()
     }
 
-    /// Map every element to a new value (used for read-only kernels such as
-    /// fitness evaluation).  Returns the results and the wall-clock time.
-    pub fn map_indexed<T, R, F>(&self, items: &[T], f: F) -> (Vec<R>, Duration)
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, &T) -> R + Sync + Send,
-    {
-        let start = Instant::now();
-        let out = match self.backend.pool_parts() {
-            None => items.iter().enumerate().map(|(i, t)| f(i, t)).collect(),
-            Some((threads, pool)) => {
-                if threads == 0 {
-                    items.par_iter().enumerate().map(|(i, t)| f(i, t)).collect()
-                } else {
-                    Self::sized_pool(pool, threads)
-                        .install(|| items.par_iter().enumerate().map(|(i, t)| f(i, t)).collect())
-                }
-            }
-        };
-        (out, start.elapsed())
-    }
-
     /// Launch one population-wide kernel: apply `kernel` to every logical
     /// thread index in `0..threads`, exactly once each, under this
     /// executor's execution strategy.  This is the staged-pipeline entry
@@ -696,17 +673,6 @@ mod tests {
         scalar().for_each_indexed(&mut a, work);
         parallel().for_each_indexed(&mut b, work);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn map_indexed_matches_across_executors() {
-        let items: Vec<u32> = (0..5_000).collect();
-        let f = |i: usize, x: &u32| (*x as u64) * 3 + i as u64;
-        let (s, _) = scalar().map_indexed(&items, f);
-        let (p, _) = parallel().map_indexed(&items, f);
-        let (p2, _) = parallel_with_threads(2).map_indexed(&items, f);
-        assert_eq!(s, p);
-        assert_eq!(s, p2);
     }
 
     #[test]
@@ -818,8 +784,6 @@ mod tests {
         let mut empty: Vec<u32> = Vec::new();
         let d = parallel().for_each_indexed(&mut empty, |_, _| panic!("must not run"));
         assert!(d.as_secs() < 1);
-        let (out, _) = scalar().map_indexed(&empty, |_, x| *x);
-        assert!(out.is_empty());
     }
 
     #[test]
@@ -833,7 +797,6 @@ mod tests {
         exec.for_each_indexed(&mut items, |_, x| *x += 1);
         let first = pool.get().expect("first launch builds the pool") as *const ThreadPool;
         exec.for_each_indexed(&mut items, |_, x| *x += 1);
-        let (_, _) = exec.map_indexed(&items, |_, x| *x);
         let second = pool.get().unwrap() as *const ThreadPool;
         assert_eq!(first, second, "subsequent launches must reuse the pool");
         // Clones share the same lazily-built pool; fresh builds do not.

@@ -140,20 +140,21 @@
 //!
 //! ## The population-batched kernel pipeline (internal layout)
 //!
-//! Since PR 5 every trajectory executes as a **staged kernel pipeline over
-//! a population-wide SoA member arena** — one population-wide launch per
+//! Every trajectory executes as a **staged kernel pipeline over a
+//! population-wide SoA member arena** — one population-wide launch per
 //! stage (`mutate`, `close`, `rebuild`, `score`, `metropolis`, `select`)
 //! per iteration, mirroring the paper's device execution, with lockstep
 //! CCD lanes in flight batching the optimal-rotation inner products across
 //! members (a converged lane is refilled from its closure segment's
 //! pending members at the next sweep boundary).
-//! This is an *internal* layout and execution-shape change with an
-//! **unchanged public API**: per-(member, iteration) RNG stream discipline
-//! keeps the batched pipeline bit-identical to the per-member reference
-//! implementation (which remains available as
-//! [`prelude::MoscemSampler::run_reference_with_seed`] and anchors the
-//! equivalence property tests), while running measurably faster per
-//! member-iteration — a ratio the CI perf gate tracks.
+//! This is an *internal* layout and execution shape behind the public
+//! API.  One trajectory driver runs it; the per-member reference
+//! ([`prelude::MoscemSampler::run_reference_with_seed`]) goes through the
+//! same driver and swaps only the candidate step for one fused per-member
+//! launch (mutation → CCD → scoring through the independent per-member
+//! routines).  Per-(member, iteration) RNG stream discipline keeps the two
+//! bit-identical, which anchors the equivalence property tests; the CI
+//! perf gate tracks their speed ratio.
 //!
 //! ## Fault tolerance: deadlines, retries, health guards
 //!
