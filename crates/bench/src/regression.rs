@@ -406,7 +406,9 @@ pub fn collect_metrics(
     }
 
     // ccd_closure: lane-major NeRF spine-rebuild speedup (median across
-    // member counts) — the cost that dominates close_batch.  Present only
+    // member counts) — the cost that dominates close_batch.  The lane-major
+    // side reads its ψ/φ sin/cos from a prefilled trig table, as
+    // close_batch does, so the ratio includes that cache.  Present only
     // when the bench ran with the `simd` feature; optional on both sides
     // like the rotation-kernel metric.
     if let (Some(b), Some(f)) = (

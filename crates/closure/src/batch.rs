@@ -20,6 +20,15 @@
 //! divergence.  Unset ([`CcdCloser::with_lanes_in_flight`]), every lane
 //! handed in is in flight at once, which is the plain masked block.
 //!
+//! **Torsion trig table.**  On the wide-lane path each in-flight lane
+//! holds a row of a `LaneTrigTable`: the `f64::sin_cos` of every one of
+//! its torsions, filled when the lane is admitted and refreshed at one
+//! entry after each accepted rotation.  The lane-major suffix rebuild packs
+//! its ψ/φ lanes from that row instead of re-evaluating `sin_cos` on every
+//! suffix residue — the same bits of the same stored angles, with only the
+//! changed angle recomputed.  Rows belong to slots, not to queued lanes: a
+//! retired lane hands its row to the next admission.
+//!
 //! **Bit-identity.**  Each member's computation depends only on its own
 //! state, and the lockstep schedule performs, per member, exactly the same
 //! operations in exactly the same order as the sequential
@@ -34,9 +43,11 @@
 
 use crate::ccd::{optimal_rotation, CcdCloser, CcdResult};
 use lms_geometry::Vec3;
-#[cfg(feature = "simd")]
-use lms_protein::{sin_cos_lanes, AnchorFrame, LoopBuilder, SpineKernel, WideVec3};
 use lms_protein::{AminoAcid, LoopFrame, LoopStructure, Torsions};
+#[cfg(feature = "simd")]
+use lms_protein::{AnchorFrame, LoopBuilder, SpineKernel, WideVec3};
+#[cfg(feature = "simd")]
+use wide::f64x4;
 
 /// One member's view into a population-batched closure: its candidate
 /// torsions, its reusable structure buffer, and the first torsion CCD may
@@ -53,9 +64,11 @@ pub struct CcdLane<'a> {
 }
 
 /// Reusable SoA workspace of one closure queue: per-lane sweep state, the
-/// in-flight lane list, and the gather buffers of the batched
-/// optimal-rotation kernel.  All buffers warm up to the queue length on
-/// first use; afterwards a `close_batch` call performs no heap allocation.
+/// in-flight lane list, the gather buffers of the batched optimal-rotation
+/// kernel and, on the wide-lane path, the `LaneTrigTable` of the lanes in
+/// flight (`min(in-flight width, queue length) × n_angles` `(sin, cos)`
+/// pairs).  All buffers warm up to the queue length on first use;
+/// afterwards a `close_batch` call performs no heap allocation.
 #[derive(Debug, Clone, Default)]
 pub struct CcdBatchScratch {
     deviation: Vec<f64>,
@@ -74,6 +87,9 @@ pub struct CcdBatchScratch {
     // Lanes whose rotation was accepted this torsion — the rebuild
     // worklist the lane-major spine driver chunks into wide groups.
     g_accept: Vec<usize>,
+    // Torsion `(sin, cos)` rows of the in-flight lanes (wide path only).
+    #[cfg(feature = "simd")]
+    trig: LaneTrigTable,
 }
 
 impl CcdBatchScratch {
@@ -126,6 +142,89 @@ impl CcdBatchScratch {
         if self.g_accept.capacity() < lanes {
             self.g_accept.reserve(lanes);
         }
+    }
+}
+
+/// The torsion `(sin, cos)` table of the lanes in flight: one row of
+/// `n_angles` pairs per in-flight slot, holding `f64::sin_cos` of each
+/// torsion its lane currently stores.  A lane takes a free row when it is
+/// admitted ([`admit`](LaneTrigTable::admit), which fills the whole row),
+/// keeps it current one entry per accepted rotation
+/// ([`refresh`](LaneTrigTable::refresh)), and gives it back at retirement
+/// ([`retire`](LaneTrigTable::retire)).  The lane-major spine rebuild reads
+/// its ψ/φ lanes from here, so its transcendentals are the same
+/// `f64::sin_cos` bits the scalar rebuild computes inline — evaluated once
+/// per angle change instead of once per suffix residue.
+#[cfg(feature = "simd")]
+#[derive(Debug, Clone, Default)]
+pub struct LaneTrigTable {
+    n_angles: usize,
+    // `rows × n_angles` pairs, row-major.
+    sin_cos: Vec<(f64, f64)>,
+    // The row each queued lane holds while it is in flight.
+    row_of: Vec<usize>,
+    // Rows no lane holds, popped by the next admission.
+    free: Vec<usize>,
+}
+
+#[cfg(feature = "simd")]
+impl LaneTrigTable {
+    /// Create an empty table; [`reset`](LaneTrigTable::reset) sizes it.
+    pub fn new() -> Self {
+        LaneTrigTable::default()
+    }
+
+    /// Size the table for a queue of `lanes` lanes over `n_angles`
+    /// torsions with at most `rows` of them in flight at once.  Every row
+    /// starts free; no allocation once the buffers have warmed up.
+    pub fn reset(&mut self, lanes: usize, rows: usize, n_angles: usize) {
+        self.n_angles = n_angles;
+        self.sin_cos.clear();
+        self.sin_cos.resize(rows * n_angles, (0.0, 0.0));
+        self.row_of.clear();
+        self.row_of.resize(lanes, usize::MAX);
+        self.free.clear();
+        self.free.extend((0..rows).rev());
+    }
+
+    /// Give `lane` a free row and fill it with the `sin_cos` of every
+    /// angle of `torsions`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no row is free (more lanes in flight than `reset` sized).
+    pub fn admit(&mut self, lane: usize, torsions: &Torsions) {
+        let row = self.free.pop().expect("more lanes in flight than rows");
+        self.row_of[lane] = row;
+        let n = self.n_angles;
+        for (entry, angle) in self.sin_cos[row * n..(row + 1) * n]
+            .iter_mut()
+            .zip(torsions.as_slice())
+        {
+            *entry = angle.sin_cos();
+        }
+    }
+
+    /// Re-evaluate entry `k` of `lane`'s row from its new stored (wrapped)
+    /// angle — call right after `rotate_angle(k, δ)`.
+    #[inline]
+    pub fn refresh(&mut self, lane: usize, k: usize, angle: f64) {
+        self.sin_cos[self.row_of[lane] * self.n_angles + k] = angle.sin_cos();
+    }
+
+    /// Return `lane`'s row to the free list.
+    pub fn retire(&mut self, lane: usize) {
+        self.free.push(self.row_of[lane]);
+    }
+
+    /// Pack angle `k` of four lanes into `(sin, cos)` lane registers.
+    #[inline(always)]
+    fn lanes(&self, lanes: [usize; 4], k: usize) -> (f64x4, f64x4) {
+        let sc = lanes.map(|j| self.sin_cos[self.row_of[j] * self.n_angles + k]);
+        (
+            f64x4::from_array([sc[0].0, sc[1].0, sc[2].0, sc[3].0]),
+            f64x4::from_array([sc[0].1, sc[1].1, sc[2].1, sc[3].1]),
+        )
     }
 }
 
@@ -331,6 +430,10 @@ mod wide_kernel {
 /// member, which restarts from the untouched prefix and overwrites any
 /// partially scattered suffix — bit-identical either way.
 ///
+/// The ψ/φ `(sin, cos)` lanes come from `trig`, which must hold a current
+/// row for every accepted lane (see [`LaneTrigTable`]); the N-anchor ψ of a
+/// rebuild from residue 0 comes from the kernel's hoisted constants.
+///
 /// On `x86_64` the drive loop dispatches at runtime to an
 /// `#[target_feature(enable = "avx2")]` clone when the host CPU supports
 /// AVX2 (`wide::runtime_avx2`), re-compiling the inlined lane arithmetic
@@ -340,12 +443,14 @@ mod wide_kernel {
 /// isolation against the scalar per-member driver; production code reaches
 /// it through [`CcdCloser::close_batch`].
 #[cfg(feature = "simd")]
+#[allow(clippy::too_many_arguments)] // the spine context plus the lanes, their trig rows and the worklist
 pub fn rebuild_spine_from_batch(
     builder: &LoopBuilder,
     kernel: &SpineKernel,
     frame: &LoopFrame,
     sequence: &[AminoAcid],
     lanes: &mut [CcdLane<'_>],
+    trig: &LaneTrigTable,
     accepted: &[usize],
     changed_angle: usize,
 ) {
@@ -359,6 +464,7 @@ pub fn rebuild_spine_from_batch(
                 frame,
                 sequence,
                 lanes,
+                trig,
                 accepted,
                 changed_angle,
             );
@@ -371,6 +477,7 @@ pub fn rebuild_spine_from_batch(
         frame,
         sequence,
         lanes,
+        trig,
         accepted,
         changed_angle,
     );
@@ -383,12 +490,14 @@ pub fn rebuild_spine_from_batch(
 /// either way); only the instruction selection differs.
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
 #[target_feature(enable = "avx2")]
+#[allow(clippy::too_many_arguments)]
 unsafe fn rebuild_spine_from_batch_avx2(
     builder: &LoopBuilder,
     kernel: &SpineKernel,
     frame: &LoopFrame,
     sequence: &[AminoAcid],
     lanes: &mut [CcdLane<'_>],
+    trig: &LaneTrigTable,
     accepted: &[usize],
     changed_angle: usize,
 ) {
@@ -398,6 +507,7 @@ unsafe fn rebuild_spine_from_batch_avx2(
         frame,
         sequence,
         lanes,
+        trig,
         accepted,
         changed_angle,
     );
@@ -405,12 +515,14 @@ unsafe fn rebuild_spine_from_batch_avx2(
 
 #[cfg(feature = "simd")]
 #[inline(always)]
+#[allow(clippy::too_many_arguments)]
 fn rebuild_spine_from_batch_generic(
     builder: &LoopBuilder,
     kernel: &SpineKernel,
     frame: &LoopFrame,
     sequence: &[AminoAcid],
     lanes: &mut [CcdLane<'_>],
+    trig: &LaneTrigTable,
     accepted: &[usize],
     changed_angle: usize,
 ) {
@@ -421,6 +533,7 @@ fn rebuild_spine_from_batch_generic(
             frame,
             sequence,
             lanes,
+            trig,
             group,
             changed_angle,
         );
@@ -433,12 +546,14 @@ fn rebuild_spine_from_batch_generic(
 /// any member's bits.
 #[cfg(feature = "simd")]
 #[inline(always)]
+#[allow(clippy::too_many_arguments)]
 fn rebuild_spine_group(
     builder: &LoopBuilder,
     kernel: &SpineKernel,
     frame: &LoopFrame,
     sequence: &[AminoAcid],
     lanes: &mut [CcdLane<'_>],
+    trig: &LaneTrigTable,
     group: &[usize],
     changed_angle: usize,
 ) {
@@ -462,13 +577,15 @@ fn rebuild_spine_group(
 
     // The rebuild context: the shared N-anchor frame for a prefix rebuild
     // (identical in every lane), or each lane's own residue `first - 1`
-    // (untouched by this torsion step, so still current).
-    let (mut prev_n, mut prev_ca, mut prev_c, mut prev_psi) = if first == 0 {
+    // (untouched by this torsion step, so still current).  The ψ/φ
+    // `(sin, cos)` lanes come from the trig table: ψ of residue `i` is flat
+    // angle `2i + 1`, φ is `2i`.
+    let (mut prev_n, mut prev_ca, mut prev_c, (mut psi_sin, mut psi_cos)) = if first == 0 {
         (
             WideVec3::splat(frame.n_anchor.n),
             WideVec3::splat(frame.n_anchor.ca),
             WideVec3::splat(frame.n_anchor.c),
-            [frame.n_anchor_psi; 4],
+            kernel.n_anchor_psi(),
         )
     } else {
         (
@@ -481,14 +598,12 @@ fn rebuild_spine_group(
             WideVec3::from_lanes(core::array::from_fn(|l| {
                 lanes[idx[l]].structure.residues[first - 1].c
             })),
-            core::array::from_fn(|l| lanes[idx[l]].torsions.psi(first - 1)),
+            trig.lanes(idx, 2 * first - 1),
         )
     };
 
     for i in first..len {
-        let (psi_sin, psi_cos) = sin_cos_lanes(prev_psi);
-        let (phi_sin, phi_cos) =
-            sin_cos_lanes(core::array::from_fn(|l| lanes[idx[l]].torsions.phi(i)));
+        let (phi_sin, phi_cos) = trig.lanes(idx, 2 * i);
         let Some((n, ca, c)) =
             kernel.place_spine(prev_n, prev_ca, prev_c, psi_sin, psi_cos, phi_sin, phi_cos)
         else {
@@ -504,10 +619,9 @@ fn rebuild_spine_group(
         prev_n = n;
         prev_ca = ca;
         prev_c = c;
-        prev_psi = core::array::from_fn(|l| lanes[idx[l]].torsions.psi(i));
+        (psi_sin, psi_cos) = trig.lanes(idx, 2 * i + 1);
     }
 
-    let (psi_sin, psi_cos) = sin_cos_lanes(prev_psi);
     match kernel.place_end_frame(prev_n, prev_ca, prev_c, psi_sin, psi_cos) {
         Some((n, ca, c)) => {
             for (l, &j) in group.iter().enumerate() {
@@ -547,7 +661,7 @@ impl CcdCloser {
         let config = *self.config();
         let targets = frame.c_anchor.atoms();
         // Hoist the lane-major spine kernel's constants (bond-angle
-        // products, ω and C-anchor-φ sin/cos) once per call.
+        // products, ω, N-anchor-ψ and C-anchor-φ sin/cos) once per call.
         #[cfg(feature = "simd")]
         let spine_kernel = self
             .wide_lanes()
@@ -565,6 +679,15 @@ impl CcdCloser {
             );
         }
         let width = self.lanes_in_flight().unwrap_or(lanes.len());
+        // The wide path keeps one trig row per in-flight slot.
+        #[cfg(feature = "simd")]
+        let wide = spine_kernel.is_some();
+        #[cfg(feature = "simd")]
+        if wide {
+            scratch
+                .trig
+                .reset(lanes.len(), width.min(lanes.len()), n_angles);
+        }
         let sweeps_more = |deviation: f64, sweeps: usize| {
             deviation > config.tolerance && sweeps < config.max_sweeps
         };
@@ -582,6 +705,10 @@ impl CcdCloser {
                 if sweeps_more(scratch.deviation[j], scratch.sweeps[j]) {
                     return true;
                 }
+                #[cfg(feature = "simd")]
+                if wide {
+                    scratch.trig.retire(j);
+                }
                 if scratch.rotations[j] > 0 {
                     let lane = &mut lanes[j];
                     builder.build_into(frame, sequence, lane.torsions, lane.structure);
@@ -591,7 +718,8 @@ impl CcdCloser {
 
             // Refill the freed slots from the pending queue: initial build
             // + deviation, exactly as the sequential path.  A lane that is
-            // already closed at admission retires on the spot.
+            // already closed at admission retires on the spot; one that
+            // sweeps takes a trig row on the wide path.
             while scratch.flight.len() < width {
                 let Some(j) = pending.next() else { break };
                 let lane = &mut lanes[j];
@@ -600,6 +728,10 @@ impl CcdCloser {
                 scratch.initial[j] = dev;
                 scratch.deviation[j] = dev;
                 if sweeps_more(dev, 0) {
+                    #[cfg(feature = "simd")]
+                    if wide {
+                        scratch.trig.admit(j, lane.torsions);
+                    }
                     scratch.flight.push(j);
                 }
             }
@@ -684,6 +816,10 @@ impl CcdCloser {
                         continue;
                     }
                     lanes[j].torsions.rotate_angle(k, delta);
+                    #[cfg(feature = "simd")]
+                    if wide {
+                        scratch.trig.refresh(j, k, lanes[j].torsions.angle(k));
+                    }
                     scratch.rotations[j] += 1;
                     scratch.g_accept.push(j);
                 }
@@ -695,6 +831,7 @@ impl CcdCloser {
                         frame,
                         sequence,
                         lanes,
+                        &scratch.trig,
                         &scratch.g_accept,
                         k,
                     );
@@ -757,6 +894,56 @@ mod tests {
             })
             .collect();
         (target, members)
+    }
+
+    /// Per-lane outcome of closing a queue: final torsions, structures and
+    /// closure statistics, in lane order.
+    type Closed = (Vec<Torsions>, Vec<LoopStructure>, Vec<CcdResult>);
+
+    /// Close `queue` (torsions, start index) member by member through the
+    /// sequential `close_with_scratch` — the reference every batch matches.
+    fn close_each(
+        closer: CcdCloser,
+        target: &lms_protein::LoopTarget,
+        queue: &[(Torsions, usize)],
+    ) -> Closed {
+        let mut closed = (Vec::new(), Vec::new(), Vec::new());
+        for (t, start) in queue {
+            let mut t = t.clone();
+            let mut s = LoopStructure::with_capacity(target.n_residues());
+            let r =
+                closer.close_with_scratch(&target.frame, &target.sequence, &mut t, *start, &mut s);
+            closed.0.push(t);
+            closed.1.push(s);
+            closed.2.push(r);
+        }
+        closed
+    }
+
+    /// Close `queue` as one `close_batch` call on `scratch`.
+    fn close_queue(
+        closer: CcdCloser,
+        target: &lms_protein::LoopTarget,
+        queue: &[(Torsions, usize)],
+        scratch: &mut CcdBatchScratch,
+    ) -> Closed {
+        let mut torsions: Vec<Torsions> = queue.iter().map(|(t, _)| t.clone()).collect();
+        let mut structures: Vec<LoopStructure> = (0..queue.len())
+            .map(|_| LoopStructure::with_capacity(target.n_residues()))
+            .collect();
+        let mut lanes: Vec<CcdLane> = torsions
+            .iter_mut()
+            .zip(structures.iter_mut())
+            .zip(queue)
+            .map(|((t, s), &(_, start_index))| CcdLane {
+                torsions: t,
+                structure: s,
+                start_index,
+            })
+            .collect();
+        closer.close_batch(&target.frame, &target.sequence, &mut lanes, scratch);
+        drop(lanes);
+        (torsions, structures, scratch.results().to_vec())
     }
 
     #[test]
@@ -855,7 +1042,6 @@ mod tests {
         // already closed at admission (native torsions) and lanes whose
         // start index excludes every torsion.
         let (target, perturbed_members) = perturbed("1cex", 40, 29);
-        let n_res = target.n_residues();
         let n_angles = target.native_torsions.n_angles();
         let members: Vec<(Torsions, usize)> = perturbed_members
             .into_iter()
@@ -868,24 +1054,7 @@ mod tests {
             .collect();
         let config = CcdConfig::new().with_max_sweeps(24);
         let close = |closer: CcdCloser, queue: &[(Torsions, usize)]| {
-            let mut torsions: Vec<Torsions> = queue.iter().map(|(t, _)| t.clone()).collect();
-            let mut structures: Vec<LoopStructure> = (0..queue.len())
-                .map(|_| LoopStructure::with_capacity(n_res))
-                .collect();
-            let mut lanes: Vec<CcdLane> = torsions
-                .iter_mut()
-                .zip(structures.iter_mut())
-                .zip(queue)
-                .map(|((t, s), &(_, start_index))| CcdLane {
-                    torsions: t,
-                    structure: s,
-                    start_index,
-                })
-                .collect();
-            let mut scratch = CcdBatchScratch::new();
-            closer.close_batch(&target.frame, &target.sequence, &mut lanes, &mut scratch);
-            drop(lanes);
-            (torsions, structures, scratch.results().to_vec())
+            close_queue(closer, &target, queue, &mut CcdBatchScratch::new())
         };
         let wide_modes: &[bool] = if cfg!(feature = "simd") {
             &[false, true]
@@ -894,22 +1063,7 @@ mod tests {
         };
         for &len in &[0usize, 1, 13, 40] {
             let queue = &members[..len];
-            let mut reference = (Vec::new(), Vec::new(), Vec::new());
-            for (t, start) in queue {
-                let mut t = t.clone();
-                let mut s = LoopStructure::with_capacity(n_res);
-                let closer = CcdCloser::with_config(config);
-                let r = closer.close_with_scratch(
-                    &target.frame,
-                    &target.sequence,
-                    &mut t,
-                    *start,
-                    &mut s,
-                );
-                reference.0.push(t);
-                reference.1.push(s);
-                reference.2.push(r);
-            }
+            let reference = close_each(CcdCloser::with_config(config), &target, queue);
             if len == 40 {
                 assert!(reference.2.iter().any(|r| r.sweeps == 0 && r.converged));
                 assert!(reference
@@ -933,6 +1087,53 @@ mod tests {
                         "{width} in flight, {len} lanes, wide {wide}"
                     );
                 }
+            }
+        }
+    }
+
+    #[cfg(feature = "simd")]
+    #[test]
+    fn trig_rows_never_go_stale_across_scratch_reuse() {
+        // One scratch closes 1cex, then 5pti (another loop length), then
+        // 1cex again, on wide lanes at several in-flight widths.  Each
+        // queue mixes lanes closed at admission (native torsions, which
+        // never take a trig row) with sweeping lanes of varied start
+        // index, so rows are handed from lane to lane, from queue to queue
+        // and across a change of row length: a row read by the lane-major
+        // rebuild must always be its own lane's, current to its last
+        // rotation.
+        let config = CcdConfig::new().with_max_sweeps(24);
+        let queues: Vec<_> = [("1cex", 41u64), ("5pti", 43), ("1cex", 47)]
+            .into_iter()
+            .map(|(name, seed)| {
+                let (target, members) = perturbed(name, 11, seed);
+                let queue: Vec<(Torsions, usize)> = members
+                    .into_iter()
+                    .enumerate()
+                    .map(|(m, t)| match m % 4 {
+                        1 => (target.native_torsions.clone(), 0),
+                        _ => (t, m % 3),
+                    })
+                    .collect();
+                (target, queue)
+            })
+            .collect();
+        assert_ne!(queues[0].0.n_residues(), queues[1].0.n_residues());
+        for width in [1usize, 3, 8] {
+            let closer = CcdCloser::with_config(config)
+                .with_wide_lanes(true)
+                .with_lanes_in_flight(width);
+            let mut scratch = CcdBatchScratch::new();
+            for (target, queue) in &queues {
+                let reference = close_each(CcdCloser::with_config(config), target, queue);
+                assert!(reference.2.iter().any(|r| r.sweeps == 0 && r.converged));
+                assert!(reference.2.iter().any(|r| r.rotations_applied > 0));
+                assert_eq!(
+                    close_queue(closer, target, queue, &mut scratch),
+                    reference,
+                    "{} at {width} in flight",
+                    target.name
+                );
             }
         }
     }

@@ -30,7 +30,7 @@ pub mod ccd;
 
 #[cfg(feature = "simd")]
 pub use batch::optimal_rotation_batch_wide;
-#[cfg(feature = "simd")]
-pub use batch::rebuild_spine_from_batch;
 pub use batch::{optimal_rotation_batch, CcdBatchScratch, CcdLane};
+#[cfg(feature = "simd")]
+pub use batch::{rebuild_spine_from_batch, LaneTrigTable};
 pub use ccd::{CcdCloser, CcdConfig, CcdResult};

@@ -28,13 +28,16 @@
 //! # Constant pre-computation
 //!
 //! The three bond angles of a spine step and the ω torsion are covalent
-//! constants, and the C-anchor φ is fixed per closure frame; their
-//! `sin_cos` values (and the `-L·cosθ` / `L·sinθ` products `place_atom`
-//! derives from them) are identical on every call, so [`SpineKernel`]
-//! computes them once per batch with the same `f64::sin_cos` the scalar
-//! path calls.  Only ψ and φ vary per lane; their `sin_cos` stays a
-//! per-lane scalar libm call (packed into lanes afterwards), keeping
-//! bit-identity with the scalar path's transcendentals.
+//! constants, and the N-anchor ψ and C-anchor φ are fixed per closure
+//! frame; their `sin_cos` values (and the `-L·cosθ` / `L·sinθ` products
+//! `place_atom` derives from them) are identical on every call, so
+//! [`SpineKernel`] computes them once per batch with the same
+//! `f64::sin_cos` the scalar path calls.  Only the loop's own ψ and φ vary
+//! per lane, and the kernel takes their `(sin, cos)` ready-made: the CCD
+//! batch driver keeps a table of each in-flight member's torsion
+//! `f64::sin_cos` results, refreshing one entry per accepted rotation, so
+//! the wide rebuild calls no libm at all while handing every lane the bits
+//! the scalar path's inline calls produce.
 
 use crate::backbone::{BackboneGeometry, LoopFrame};
 use lms_geometry::Vec3;
@@ -173,23 +176,10 @@ impl StepConsts {
     }
 }
 
-/// Pack per-lane `f64::sin_cos` results into `(sin, cos)` lane registers.
-/// The transcendentals stay scalar libm calls — the same calls the scalar
-/// rebuild makes — so the packed values are bit-identical to the scalar
-/// path's.
-#[inline(always)]
-pub fn sin_cos_lanes(angles: [f64; 4]) -> (f64x4, f64x4) {
-    let sc = angles.map(f64::sin_cos);
-    (
-        f64x4::from_array([sc[0].0, sc[1].0, sc[2].0, sc[3].0]),
-        f64x4::from_array([sc[0].1, sc[1].1, sc[2].1, sc[3].1]),
-    )
-}
-
 /// Precomputed constants of a lane-major spine rebuild over one closure
-/// frame: the three per-step bond constants, the ω `sin_cos`, and the
-/// C-anchor φ `sin_cos`.  Build once per `close_batch` call; reuse for
-/// every rebuild group of the block.
+/// frame: the three per-step bond constants, the ω `sin_cos`, the N-anchor
+/// ψ `sin_cos` and the C-anchor φ `sin_cos`.  Build once per `close_batch`
+/// call; reuse for every rebuild group of the block.
 #[derive(Clone, Copy, Debug)]
 pub struct SpineKernel {
     /// N_i step: bond C'→N, angle Cα-C'-N, dihedral = previous ψ.
@@ -200,6 +190,8 @@ pub struct SpineKernel {
     c_step: StepConsts,
     omega_sin: f64,
     omega_cos: f64,
+    n_anchor_psi_sin: f64,
+    n_anchor_psi_cos: f64,
     c_anchor_phi_sin: f64,
     c_anchor_phi_cos: f64,
 }
@@ -210,6 +202,7 @@ impl SpineKernel {
     /// the hoisted values are the bits the scalar path recomputes inline.
     pub fn new(geometry: &BackboneGeometry, frame: &LoopFrame) -> SpineKernel {
         let (omega_sin, omega_cos) = geometry.omega.sin_cos();
+        let (n_anchor_psi_sin, n_anchor_psi_cos) = frame.n_anchor_psi.sin_cos();
         let (c_anchor_phi_sin, c_anchor_phi_cos) = frame.c_anchor_phi.sin_cos();
         SpineKernel {
             n_step: StepConsts::new(geometry.len_c_n, geometry.ang_ca_c_n),
@@ -217,9 +210,21 @@ impl SpineKernel {
             c_step: StepConsts::new(geometry.len_ca_c, geometry.ang_n_ca_c),
             omega_sin,
             omega_cos,
+            n_anchor_psi_sin,
+            n_anchor_psi_cos,
             c_anchor_phi_sin,
             c_anchor_phi_cos,
         }
+    }
+
+    /// The N-anchor ψ `(sin, cos)` splatted to every lane: the dihedral of
+    /// the first residue's N placement when a rebuild starts at residue 0.
+    #[inline(always)]
+    pub fn n_anchor_psi(&self) -> (f64x4, f64x4) {
+        (
+            f64x4::splat(self.n_anchor_psi_sin),
+            f64x4::splat(self.n_anchor_psi_cos),
+        )
     }
 
     /// The wide `place_atom`: same operation sequence as the scalar
@@ -307,6 +312,16 @@ mod tests {
     use crate::backbone::{LoopBuilder, LoopStructure};
     use crate::benchmark::BenchmarkLibrary;
     use lms_geometry::deg_to_rad;
+
+    /// Pack per-lane `f64::sin_cos` results into `(sin, cos)` lane
+    /// registers — the values the scalar rebuild computes inline.
+    fn sin_cos_lanes(angles: [f64; 4]) -> (f64x4, f64x4) {
+        let sc = angles.map(f64::sin_cos);
+        (
+            f64x4::from_array([sc[0].0, sc[1].0, sc[2].0, sc[3].0]),
+            f64x4::from_array([sc[0].1, sc[1].1, sc[2].1, sc[3].1]),
+        )
+    }
 
     /// Four members rebuilt lane-major from the same changed torsion match
     /// the scalar `rebuild_spine_from` bit for bit on every spine atom and

@@ -40,7 +40,7 @@ pub use backbone::{
     ResidueAtoms,
 };
 #[cfg(feature = "simd")]
-pub use backbone_wide::{sin_cos_lanes, SpineKernel, WideVec3};
+pub use backbone_wide::{SpineKernel, WideVec3};
 pub use benchmark::{standard_specs, BenchmarkLibrary, TargetSpec};
 pub use environment::{EnvAtom, EnvCandidates, Environment};
 pub use loop_def::{LoopTarget, ENV_CONTACT_MARGIN};

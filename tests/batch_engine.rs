@@ -49,6 +49,49 @@ fn job_for(name: &str, seed: u64) -> Job {
         .expect("valid job")
 }
 
+/// Run one batch of jobs (cycling through `NAMES`) on `engine` and check
+/// each job against `MoscemSampler::run_with_seed` of the same seed on its
+/// own executor built from `executor`.
+fn assert_batch_matches_sequential(
+    engine: &LoopModelingEngine,
+    executor: ExecutorConfig,
+    seeds: &[u64],
+) -> Result<(), TestCaseError> {
+    let jobs: Vec<Job> = seeds
+        .iter()
+        .enumerate()
+        .map(|(i, &seed)| job_for(NAMES[i % NAMES.len()], seed))
+        .collect();
+    let results = engine.submit(jobs).join();
+    prop_assert_eq!(results.len(), seeds.len());
+
+    for (i, (result, &seed)) in results.iter().zip(seeds.iter()).enumerate() {
+        prop_assert_eq!(result.seed, seed);
+        let batched = match &result.outcome {
+            Ok(t) => t,
+            Err(e) => return Err(TestCaseError::Fail(format!("job {i} failed: {e}"))),
+        };
+        let target = BenchmarkLibrary::standard()
+            .target_by_name(NAMES[i % NAMES.len()])
+            .unwrap();
+        let sampler =
+            MoscemSampler::try_new(target, shared_kb(), small_config(seed)).expect("valid config");
+        let reference =
+            sampler.run_with_seed(&executor.build().expect("valid executor config"), seed);
+        prop_assert_eq!(batched.population.len(), reference.population.len());
+        for (a, b) in batched.population.iter().zip(reference.population.iter()) {
+            prop_assert_eq!(&a.torsions, &b.torsions);
+            prop_assert_eq!(a.scores, b.scores);
+            prop_assert_eq!(a.fitness, b.fitness);
+            prop_assert_eq!(a.rmsd_to_native, b.rmsd_to_native);
+            prop_assert_eq!(a.accepted_moves, b.accepted_moves);
+        }
+        prop_assert_eq!(batched.acceptance_rate, reference.acceptance_rate);
+        prop_assert_eq!(batched.final_temperature, reference.final_temperature);
+    }
+    Ok(())
+}
+
 // The acceptance contract: whatever seeds the jobs carry, running them as
 // one concurrent batch produces bit-identical trajectories to running each
 // through `MoscemSampler::run_with_seed` on its own.
@@ -58,38 +101,39 @@ proptest! {
     #[test]
     fn batch_is_bit_identical_to_sequential_runs(raw_seeds in prop::collection::vec(0usize..100_000, 4)) {
         let seeds: Vec<u64> = raw_seeds.iter().map(|&s| s as u64).collect();
-        let engine = shared_engine();
-        let jobs: Vec<Job> = seeds
-            .iter()
-            .enumerate()
-            .map(|(i, &seed)| job_for(NAMES[i % NAMES.len()], seed))
-            .collect();
-        let results = engine.submit(jobs).join();
-        prop_assert_eq!(results.len(), seeds.len());
+        assert_batch_matches_sequential(shared_engine(), ExecutorConfig::parallel(), &seeds)?;
+    }
+}
 
-        for (i, (result, &seed)) in results.iter().zip(seeds.iter()).enumerate() {
-            prop_assert_eq!(result.seed, seed);
-            let batched = match &result.outcome {
-                Ok(t) => t,
-                Err(e) => return Err(TestCaseError::Fail(format!("job {i} failed: {e}"))),
-            };
-            let target = BenchmarkLibrary::standard()
-                .target_by_name(NAMES[i % NAMES.len()])
-                .unwrap();
-            let sampler = MoscemSampler::try_new(target, shared_kb(), small_config(seed))
-                .expect("valid config");
-            let reference = sampler.run_with_seed(&ExecutorConfig::parallel().build().expect("valid executor config"), seed);
-            prop_assert_eq!(batched.population.len(), reference.population.len());
-            for (a, b) in batched.population.iter().zip(reference.population.iter()) {
-                prop_assert_eq!(&a.torsions, &b.torsions);
-                prop_assert_eq!(a.scores, b.scores);
-                prop_assert_eq!(a.fitness, b.fitness);
-                prop_assert_eq!(a.rmsd_to_native, b.rmsd_to_native);
-                prop_assert_eq!(a.accepted_moves, b.accepted_moves);
-            }
-            prop_assert_eq!(batched.acceptance_rate, reference.acceptance_rate);
-            prop_assert_eq!(batched.final_temperature, reference.final_temperature);
-        }
+/// The wide-lane backend on two threads, with two jobs in flight at once:
+/// concurrent jobs share the machine but not their closure scratch (and so
+/// not their trig rows), so each still equals its sequential run.  Two
+/// cases: an unoptimised build runs the wide backend ~25× slower than the
+/// parallel one.
+#[cfg(feature = "simd")]
+fn shared_simd_engine() -> &'static LoopModelingEngine {
+    static ENGINE: OnceLock<LoopModelingEngine> = OnceLock::new();
+    ENGINE.get_or_init(|| {
+        LoopModelingEngine::builder(shared_kb())
+            .executor(ExecutorConfig::simd().threads(2))
+            .concurrency(2)
+            .build()
+            .expect("valid engine config")
+    })
+}
+
+#[cfg(feature = "simd")]
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2))]
+
+    #[test]
+    fn simd_batch_is_bit_identical_to_sequential_runs(raw_seeds in prop::collection::vec(0usize..100_000, 4)) {
+        let seeds: Vec<u64> = raw_seeds.iter().map(|&s| s as u64).collect();
+        assert_batch_matches_sequential(
+            shared_simd_engine(),
+            ExecutorConfig::simd().threads(2),
+            &seeds,
+        )?;
     }
 }
 
